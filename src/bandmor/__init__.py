@@ -8,7 +8,6 @@ band-limited H2 error with its closed-form gradient.
 
 from . import exceptions
 from .freqgram import (
-    GradientWorkspace,
     StructureMask,
     error_cost,
     error_cost_and_gradient,
@@ -63,7 +62,6 @@ __all__ = [
     "s_omega",
     "s_band",
     "StructureMask",
-    "GradientWorkspace",
     "limited_gramians",
     "h2w_norm_sq",
     "error_cost",

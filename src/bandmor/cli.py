@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .exceptions import BandmorError, OverlapError, ParseError
-from .freqgram import StructureMask, h2w_norm_sq
+from .freqgram import StructureMask, _band_grid, h2w_norm_sq
 from .reducers import (
     OptimizerOptions,
     balanced_truncation,
@@ -127,22 +127,6 @@ def _metric(x):
     return "--" if x is None else _fmt(x)
 
 
-def _response_grid(band, points, models):
-    rho = 1.0
-    for model in models:
-        if model.nstates:
-            rho = max(rho, float(np.abs(np.linalg.eigvals(model.A)).max()))
-    cap = 1e4 * rho
-    pieces = []
-    for lo, hi in band:
-        hi_eff = cap if math.isinf(hi) else hi
-        if lo > 0.0:
-            pieces.append(np.geomspace(lo, hi_eff, points))
-        else:
-            pieces.append(np.linspace(0.0, hi_eff, points))
-    return np.unique(np.concatenate(pieces))
-
-
 def _write_response(path, model, grid):
     p, m = model.noutputs, model.ninputs
     header = ["omega_rad_s"] + [
@@ -226,8 +210,8 @@ def cmd_reduce(config):
             ])
 
     if config.respgrid > 0:
-        grid = _response_grid(config.band, config.respgrid,
-                              [model, *reduced.values()])
+        grid = np.unique(np.concatenate(_band_grid(
+            config.band, config.respgrid, [model, *reduced.values()])))
         _write_response(out_dir / "response_given.csv", model, grid)
         for name, ghat in reduced.items():
             _write_response(out_dir / f"response_{name}.csv", ghat, grid)

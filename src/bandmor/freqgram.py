@@ -28,7 +28,6 @@ from .ssmodel import FrequencyBand, as_band, error_system
 
 __all__ = [
     "StructureMask",
-    "GradientWorkspace",
     "limited_gramians",
     "h2w_norm_sq",
     "error_cost",
@@ -142,10 +141,9 @@ class GradientWorkspace:
 
     ``s_given``/``s_reduced`` are the band-limiting matrices of the full
     and reduced dynamics.  The limited blocks come from partitioning the
-    error system's Gramians; ``p_given``/``q_given`` are the (expensive)
-    full-model Gramians, solved only when the constant cost term is
-    requested.  ``x_unlimited``/``p_unlimited`` are the standard-Gramian
-    solutions feeding the logarithm sensitivity ``w_sens``.
+    error system's Gramians.  ``x_unlimited``/``p_unlimited`` are the
+    standard-Gramian solutions that enter the gradient next to the
+    logarithm sensitivity ``w_sens``.
     """
 
     band: FrequencyBand
@@ -156,11 +154,8 @@ class GradientWorkspace:
     y_cross: np.ndarray
     p_reduced: np.ndarray
     q_reduced: np.ndarray
-    p_given: np.ndarray = None
-    q_given: np.ndarray = None
     x_unlimited: np.ndarray = None
     p_unlimited: np.ndarray = None
-    v_sens: np.ndarray = None
     w_sens: np.ndarray = None
 
 
@@ -258,7 +253,6 @@ def _build_workspace(g, ghat, band, fixed=None, need_gradient=False):
             W += sign * (1j / np.pi * L).real
         ws.x_unlimited = Xu
         ws.p_unlimited = Pu
-        ws.v_sens = V
         ws.w_sens = W
     return ws, fixed
 
@@ -321,14 +315,12 @@ def _cost_from_workspace(g, ghat, ws, fixed, drop_constant, form):
         value = 2.0 * float(np.trace(B.T @ ws.y_cross @ Bh))
         value += float(np.trace(Bh.T @ ws.q_reduced @ Bh))
         if not drop_constant:
-            ws.q_given = fixed.q_gram
-            value += float(np.trace(B.T @ ws.q_given @ B))
+            value += float(np.trace(B.T @ fixed.q_gram @ B))
     elif form == "C":
         value = -2.0 * float(np.trace(C @ ws.x_cross @ Ch.T))
         value += float(np.trace(Ch @ ws.p_reduced @ Ch.T))
         if not drop_constant:
-            ws.p_given = fixed.p_gram
-            value += float(np.trace(C @ ws.p_given @ C.T))
+            value += float(np.trace(C @ fixed.p_gram @ C.T))
     else:
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
     return value + _d_term(g, ghat, ws)
@@ -405,10 +397,19 @@ def _sigma_max(model, omega):
     return float(np.linalg.svd(resp, compute_uv=False)[0])
 
 
-def _band_grid(band, points, cap):
+def _band_grid(band, points, models):
+    """Per-interval frequency grids of ``points`` points each: log-spaced
+    when the interval starts above zero, linear from zero otherwise.  An
+    interval reaching infinity is capped at ``1e4`` times the largest
+    spectral radius of ``models`` (at least 1)."""
+    rho = 1.0
+    for model in models:
+        if model.nstates:
+            rho = max(rho, float(np.abs(np.linalg.eigvals(model.A)).max()))
+    cap = 1e4 * rho
     grids = []
     for lo, hi in band:
-        hi_eff = min(hi, cap) if math.isinf(hi) else hi
+        hi_eff = cap if math.isinf(hi) else hi
         if lo > 0.0:
             grids.append(np.geomspace(lo, hi_eff, points))
         else:
@@ -464,12 +465,7 @@ def hinf_w_relative(g, ghat, band, grid_density=2000):
             "G and Ghat must share input and output dimensions"
         )
     err = error_system(g, ghat)
-    rho = 1.0
-    for model in (g, ghat):
-        if model.nstates:
-            rho = max(rho, float(np.abs(np.linalg.eigvals(model.A)).max()))
-    cap = 1e4 * rho
-    grids = _band_grid(band, int(grid_density), cap)
+    grids = _band_grid(band, int(grid_density), (g, ghat))
     num = _grid_max(err, grids)
     den = _grid_max(g, grids)
     if den == 0.0:

@@ -1,16 +1,20 @@
 """Dense matrix-equation and matrix-function kernels.
 
-Sylvester and Lyapunov solvers (Bartels-Stewart on a complex Schur form),
-the principal matrix logarithm and its Frechet derivative (inverse scaling
-and squaring on the triangular factor), and the band-limiting matrices that
-turn standard Lyapunov right-hand sides into frequency-limited ones.
+Sylvester and Lyapunov solvers (Bartels-Stewart: a complex Schur form and
+LAPACK ``ztrsyl`` on the triangular factors), the principal matrix
+logarithm (inverse scaling and squaring on the triangular factor, with
+``scipy.linalg.sqrtm`` square roots and a Pade step) and its Frechet
+derivative (the logarithm of a 2x2 block matrix), and the band-limiting
+matrices that turn standard Lyapunov right-hand sides into
+frequency-limited ones.
 
 All routines work on dense numpy arrays and are pure functions of their
 inputs; nothing here keeps state between calls.
 """
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular
+from scipy.linalg import schur, solve_triangular, sqrtm
+from scipy.linalg.lapack import ztrsyl
 from scipy.special import roots_legendre
 
 from .exceptions import (
@@ -78,28 +82,15 @@ def _require_hurwitz(A, what="A"):
         raise NotHurwitz(f"{what} is not Hurwitz (max real eigenvalue {max_re:.3e})")
 
 
-def _tri_sylvester(TA, TB, C):
-    """Solve TA @ Y + Y @ TB + C = 0 for upper-triangular TA and TB."""
-    n, m = C.shape
-    Y = np.zeros((n, m), dtype=complex)
-    eye = np.eye(n)
-    for k in range(m):
-        rhs = -C[:, k]
-        if k:
-            rhs = rhs - Y[:, :k] @ TB[:k, k]
-        Y[:, k] = solve_triangular(TA + TB[k, k] * eye, rhs, lower=False)
-    return Y
-
-
-def _tri_lyapunov(T, W):
-    """Solve T @ P + P @ T.T + W = 0 for upper-triangular T."""
-    n = T.shape[0]
-    P = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n)
-    for k in range(n - 1, -1, -1):
-        rhs = -W[:, k] - P[:, k + 1:] @ T[k, k + 1:]
-        P[:, k] = solve_triangular(T + T[k, k] * eye, rhs, lower=False)
-    return P
+def _trsyl(TA, TB, F, tranb="N"):
+    """Solve ``TA @ Y + Y @ op(TB) + F = 0`` for upper-triangular ``TA``
+    and ``TB``, where ``op(TB)`` is ``TB`` (``tranb="N"``) or its conjugate
+    transpose (``tranb="C"``).  LAPACK solves for ``scale * Y`` with
+    ``scale <= 1`` chosen to avoid overflow."""
+    Y, scale, info = ztrsyl(TA, TB, -F, tranb=tranb)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"ztrsyl: argument {-info} is invalid")
+    return Y / scale
 
 
 def solve_sylvester(A, B, C):
@@ -125,7 +116,7 @@ def solve_sylvester(A, B, C):
     Notes
     -----
     Both operands are reduced to complex Schur form and the triangular
-    system is solved column by column by back substitution.
+    system is solved by LAPACK ``ztrsyl`` (Bartels-Stewart).
     """
     A = _square(A, "A")
     B = _square(B, "B")
@@ -151,7 +142,7 @@ def solve_sylvester(A, B, C):
             f"{-mu[j]:.6g} of -B"
         )
 
-    Y = _tri_sylvester(TA, TB, UA.conj().T @ C @ UB)
+    Y = _trsyl(TA, TB, UA.conj().T @ C @ UB)
     X = UA @ Y @ UB.conj().T
     return X.real if real_data else X
 
@@ -160,8 +151,10 @@ def solve_lyapunov(A, W):
     """Solve the continuous Lyapunov equation ``A P + P A.T + W = 0``.
 
     ``A`` must be Hurwitz.  For symmetric ``W`` the result is symmetric up
-    to roundoff.  Only one Schur decomposition is taken; the transposed
-    side reuses it.
+    to roundoff.  Only one Schur decomposition is taken: with
+    ``A = U T U^H``, the transformed equation is ``T P' + P' T.T + W' = 0``
+    and ``T.T`` is the conjugate transpose of ``conj(T)``, so real and
+    complex ``A`` go through the same triangular solve.
     """
     A = _square(A, "A")
     W = _square(W, "W")
@@ -174,23 +167,18 @@ def solve_lyapunov(A, W):
 
     real_data = not (np.iscomplexobj(A) or np.iscomplexobj(W))
     T, U = schur(A.astype(complex), output="complex")
-    Pt = _tri_lyapunov(T, U.conj().T @ W @ U.conj())
+    Pt = _trsyl(T, T.conj(), U.conj().T @ W @ U.conj(), tranb="C")
     P = U @ Pt @ U.T
     return P.real if real_data else P
 
 
-def _log_core(M, E=None):
-    """Principal log of ``M`` and, if ``E`` is given, the Frechet
-    derivative of the log at ``M`` in direction ``E``."""
+def _log_core(M):
+    """Principal log of ``M`` by inverse scaling and squaring on its
+    complex Schur factor."""
     M = _square(M, "M").astype(complex)
     n = M.shape[0]
-    if E is not None:
-        E = _square(E, "E").astype(complex)
-        if E.shape[0] != n:
-            raise DimensionMismatch(f"E must have shape {(n, n)}, got {E.shape}")
     if n == 0:
-        z = np.zeros((0, 0), dtype=complex)
-        return z, (z if E is not None else None)
+        return np.zeros((0, 0), dtype=complex)
 
     T, U = schur(M, output="complex")
     lam = np.diag(T)
@@ -202,7 +190,6 @@ def _log_core(M, E=None):
             "negative real axis; the principal logarithm is undefined"
         )
 
-    F = U.conj().T @ E @ U if E is not None else None
     eye = np.eye(n)
     k = 0
     while np.linalg.norm(T - eye, 1) > _SQRT_TARGET:
@@ -210,46 +197,19 @@ def _log_core(M, E=None):
             raise np.linalg.LinAlgError(
                 "matrix logarithm: square-root scaling did not converge"
             )
-        R = _tri_sqrt(T)
-        if F is not None:
-            # d sqrt: R F' + F' R = F
-            F = _tri_sylvester(R, R, -F)
-        T = R
+        # the principal square root of an upper-triangular matrix is
+        # upper triangular
+        T = sqrtm(T)
         k += 1
 
     X = T - eye
     L = np.zeros((n, n), dtype=complex)
-    G = np.zeros((n, n), dtype=complex) if F is not None else None
     for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-        Mt = eye + t * X
         try:
-            L += w * solve_triangular(Mt, X, lower=False)
-            if F is not None:
-                half = solve_triangular(Mt, F, lower=False)
-                G += w * solve_triangular(Mt, half.T, lower=False,
-                                          trans="T").T
+            L += w * solve_triangular(eye + t * X, X, lower=False)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - scaled out
             raise SingularResolvent(str(exc)) from exc
-
-    scale = 2.0 ** k
-    logM = scale * (U @ L @ U.conj().T)
-    if F is None:
-        return logM, None
-    return logM, scale * (U @ G @ U.conj().T)
-
-
-def _tri_sqrt(T):
-    """Principal square root of an upper-triangular matrix by the
-    superdiagonal recurrence."""
-    n = T.shape[0]
-    R = np.zeros_like(T)
-    np.fill_diagonal(R, np.sqrt(np.diag(T)))
-    for d in range(1, n):
-        for i in range(n - d):
-            j = i + d
-            s = R[i, i + 1:j] @ R[i + 1:j, j]
-            R[i, j] = (T[i, j] - s) / (R[i, i] + R[j, j])
-    return R
+    return 2.0 ** k * (U @ L @ U.conj().T)
 
 
 def matrix_log(M):
@@ -264,18 +224,28 @@ def matrix_log(M):
         If an eigenvalue lies on the closed negative real axis within
         tolerance.
     """
-    return _log_core(M)[0]
+    return _log_core(M)
 
 
 def frechet_log(M, E):
     """Frechet derivative of the matrix logarithm at ``M`` in direction ``E``.
 
     Equals the integral of ``(t(M-I)+I)^-1 E (t(M-I)+I)^-1`` over t in
-    [0, 1] and is linear in ``E``.  Computed by differentiating the same
-    scaling-and-squaring recurrence used by :func:`matrix_log`, which keeps
-    the cost at a few triangular solves per square root.
+    [0, 1] and is linear in ``E``.  Computed as the top-right block of
+    ``log([[M, E], [0, M]]) = [[log M, L(M, E)], [0, log M]]`` (Higham,
+    *Functions of Matrices*, 2008, Thm 3.6).  ``E`` is scaled to the norm
+    of ``M`` first, so the square-root count is set by ``M`` and not by
+    the size of the direction.
     """
-    return _log_core(M, E)[1]
+    M = _square(M, "M")
+    E = _square(E, "E")
+    n = M.shape[0]
+    if E.shape[0] != n:
+        raise DimensionMismatch(f"E must have shape {(n, n)}, got {E.shape}")
+    e_norm = np.linalg.norm(E, 1)
+    s = np.linalg.norm(M, 1) / e_norm if e_norm else 1.0
+    block = np.block([[M, s * E], [np.zeros((n, n)), M]])
+    return _log_core(block)[:n, n:] / s
 
 
 def s_omega(A, omega):

@@ -119,6 +119,19 @@ def frechet_quadrature(M, E, tol=1e-10, max_panels=256):
     return prev
 
 
+def s_omega_quadrature(A, omega, tol=1e-11):
+    """Band-limiting matrix ``(1/2pi) * int_{-omega}^{omega}
+    (i nu I - A)^-1 d nu`` by adaptive quadrature of the resolvent."""
+    A = np.asarray(A, dtype=float)
+    eye = np.eye(A.shape[0])
+
+    def integrand(nu):
+        return np.linalg.inv(1j * nu * eye - A)
+
+    val, _ = quad_vec(integrand, -omega, omega, epsabs=tol, epsrel=tol)
+    return val / (2.0 * np.pi)
+
+
 def fd_cost_gradient(g, ghat, band, step=1e-6):
     """Central finite differences of the reduction cost in every entry of
     the reduced realization."""

@@ -16,7 +16,13 @@ from bandmor import (
 )
 from bandmor.exceptions import BranchCut, NotHurwitz, SpectrumClash
 
-from _oracles import frechet_quadrature, kron_sylvester, rand_hurwitz
+from _oracles import (
+    frechet_quadrature,
+    kron_sylvester,
+    rand_hurwitz,
+    rand_resonant_model,
+    s_omega_quadrature,
+)
 
 
 def sylvester_residual(A, B, C, X):
@@ -92,6 +98,17 @@ class TestSolveLyapunov:
         A = rand_hurwitz(rng, 6)
         W = rng.standard_normal((6, 6))
         W = W + W.T
+        P = solve_lyapunov(A, W)
+        ref = kron_sylvester(A, A.T, W)
+        np.testing.assert_allclose(P, ref, rtol=1e-10, atol=1e-12)
+
+    def test_complex_matches_kronecker_oracle(self):
+        # complex A takes the same conj(T) / conjugate-transpose path
+        rng = np.random.default_rng(19)
+        n = 6
+        K = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        A = K - (np.linalg.eigvals(K).real.max() + 0.3) * np.eye(n)
+        W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         P = solve_lyapunov(A, W)
         ref = kron_sylvester(A, A.T, W)
         np.testing.assert_allclose(P, ref, rtol=1e-10, atol=1e-12)
@@ -172,16 +189,36 @@ class TestFrechetLog:
             1.0, np.linalg.norm(lhs, "fro")
         )
 
+    def test_direction_size_does_not_matter(self):
+        # a huge direction must not drive the square-root count past the cap
+        rng = np.random.default_rng(21)
+        M = expm(0.5 * rng.standard_normal((4, 4)))
+        E = rng.standard_normal((4, 4))
+        ref = frechet_log(M, E)
+        for scale in (1e-20, 1e20):
+            got = frechet_log(M, scale * E) / scale
+            assert np.linalg.norm(got - ref, "fro") <= 1e-12 * np.linalg.norm(
+                ref, "fro"
+            )
+        assert frechet_log(M, np.zeros((4, 4))).shape == (4, 4)
+        assert frechet_log(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+
     def test_against_quadrature(self):
         rng = np.random.default_rng(11)
         M = expm(0.6 * (rng.standard_normal((4, 4))
                         + 1j * rng.standard_normal((4, 4))))
         E = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ref = frechet_quadrature(M, E)
-        got = frechet_log(M, E)
-        assert np.linalg.norm(got - ref, "fro") <= 1e-8 * max(
-            1.0, np.linalg.norm(ref, "fro")
-        )
+        # the argument the cost gradient feeds in: -Ahat - i*omega*I for
+        # a lightly damped, non-normal reduced state matrix
+        r = 12
+        Ah = rand_resonant_model(rng, r, 2, 2).A
+        cases = [(M, E), (-Ah - 0.8j * np.eye(r), rng.standard_normal((r, r)))]
+        for M, E in cases:
+            ref = frechet_quadrature(M, E)
+            got = frechet_log(M, E)
+            assert np.linalg.norm(got - ref, "fro") <= 1e-8 * max(
+                1.0, np.linalg.norm(ref, "fro")
+            )
 
     def test_against_finite_differences(self):
         rng = np.random.default_rng(12)
@@ -217,6 +254,18 @@ class TestSOmega:
         ]
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-6
+
+    def test_against_quadrature(self):
+        # non-normal, lightly damped A with resonances inside the band
+        rng = np.random.default_rng(20)
+        A = rand_resonant_model(rng, 30, 2, 2).A
+        for w in (1.0, 3.0):
+            ref = s_omega_quadrature(A, w)
+            np.testing.assert_allclose(ref.imag, 0.0, atol=1e-9)
+            S = s_omega(A, w)
+            assert np.linalg.norm(S - ref.real, "fro") <= 1e-9 * np.linalg.norm(
+                ref.real, "fro"
+            )
 
     def test_cayley_identity(self):
         # closed form used here == i/(2 pi) log of the Cayley-type product
