@@ -42,7 +42,28 @@ from .ssmodel import FrequencyBand, error_system, read_model, write_model
 
 __all__ = ["parse_band", "RunConfig", "cmd_reduce", "cmd_analyze", "main"]
 
-METHODS = ("hankel", "gawronski", "modgawronski", "proposed")
+
+def _evaluated(name, model, config, ghat):
+    return ghat, evaluate(model, ghat, config.band, method=name)
+
+
+# Method name -> run(model, config, mask) -> (ghat, report).  The entries
+# look the reducers up among this module's globals when they run, so a
+# rebinding of ``cli.evaluate`` or ``cli.h2w_optimize`` takes effect.
+_RUN_METHOD = {
+    "hankel": lambda model, config, mask: _evaluated(
+        "hankel", model, config, balanced_truncation(model, config.order)),
+    "gawronski": lambda model, config, mask: _evaluated(
+        "gawronski", model, config,
+        gawronski_reduce(model, config.order, config.band)),
+    "modgawronski": lambda model, config, mask: _evaluated(
+        "modgawronski", model, config,
+        modified_gawronski_reduce(model, config.order, config.band)),
+    "proposed": lambda model, config, mask: h2w_optimize(
+        model, config.order, config.band, mask=mask,
+        init=_initial_model(model, config), opts=OptimizerOptions()),
+}
+METHODS = tuple(_RUN_METHOD)
 
 
 def parse_band(text):
@@ -168,21 +189,7 @@ def cmd_reduce(config):
     any_unstable = False
     for name in config.methods:
         t0 = time.perf_counter()
-        if name == "hankel":
-            ghat = balanced_truncation(model, config.order)
-            report = evaluate(model, ghat, config.band, method=name)
-        elif name == "gawronski":
-            ghat = gawronski_reduce(model, config.order, config.band)
-            report = evaluate(model, ghat, config.band, method=name)
-        elif name == "modgawronski":
-            ghat = modified_gawronski_reduce(model, config.order, config.band)
-            report = evaluate(model, ghat, config.band, method=name)
-        else:
-            init = _initial_model(model, config)
-            ghat, report = h2w_optimize(
-                model, config.order, config.band, mask=mask, init=init,
-                opts=OptimizerOptions(),
-            )
+        ghat, report = _RUN_METHOD[name](model, config, mask)
         report.runtime_seconds = time.perf_counter() - t0
         rows.append(report)
         reduced[name] = ghat

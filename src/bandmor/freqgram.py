@@ -14,6 +14,7 @@ gradient.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .exceptions import (
     UnboundedBandWithFeedthrough,
 )
 from .matfun import frechet_log, hurwitz_status, s_band, solve_lyapunov, solve_sylvester
-from .ssmodel import FrequencyBand, as_band, error_system
+from .ssmodel import as_band, error_system
 
 __all__ = [
     "StructureMask",
@@ -91,6 +92,37 @@ class StructureMask:
         )
 
 
+class _BandSide:
+    """A stable model's quantities on a band, for the full model G and the
+    reduced model Ghat alike: the band-limiting matrix ``s`` of its
+    dynamics and, computed on first use, the frequency-limited Gramians
+    ``p`` and ``q``.  Building the side checks stability and names the
+    model as ``label`` if it fails."""
+
+    def __init__(self, model, band, label="G"):
+        if model.nstates:
+            ok, max_re = hurwitz_status(model.A)
+            if not ok:
+                raise NotHurwitz(
+                    f"{label} is not stable (max real eigenvalue {max_re:.3e})"
+                )
+        self.model = model
+        self.band = band
+        self.s = s_band(model.A, band) if model.nstates else np.zeros((0, 0))
+
+    @cached_property
+    def p(self):
+        A, B, S = self.model.A, self.model.B, self.s
+        BBt = B @ B.T
+        return _sym(solve_lyapunov(A, S @ BBt + BBt @ S.T))
+
+    @cached_property
+    def q(self):
+        A, C, S = self.model.A, self.model.C, self.s
+        CtC = C.T @ C
+        return _sym(solve_lyapunov(A.T, S.T @ CtC + CtC @ S))
+
+
 def limited_gramians(model, band):
     """Frequency-limited controllability and observability Gramians.
 
@@ -99,14 +131,8 @@ def limited_gramians(model, band):
     [0, inf) these reduce to the standard Gramians.  Both results are
     symmetrized before return.
     """
-    band = as_band(band)
-    A, B, C = model.A, model.B, model.C
-    S = s_band(A, band)
-    BBt = B @ B.T
-    CtC = C.T @ C
-    P = solve_lyapunov(A, S @ BBt + BBt @ S.T)
-    Q = solve_lyapunov(A.T, S.T @ CtC + CtC @ S)
-    return _sym(P), _sym(Q)
+    side = _BandSide(model, as_band(band))
+    return side.p, side.q
 
 
 def h2w_norm_sq(model, band):
@@ -117,7 +143,7 @@ def h2w_norm_sq(model, band):
     feedthrough term; a band reaching infinity requires ``D = 0``.
     """
     band = as_band(band)
-    D = model.D
+    B, C, D = model.B, model.C, model.D
     has_d = bool(np.any(D))
     if has_d and not band.is_bounded:
         raise UnboundedBandWithFeedthrough(
@@ -125,78 +151,22 @@ def h2w_norm_sq(model, band):
         )
     if model.nstates == 0:
         return 2.0 * band.theta * float(np.trace(D @ D.T)) if has_d else 0.0
-    A, B, C = model.A, model.B, model.C
-    S = s_band(A, band)
-    BBt = B @ B.T
-    P = _sym(solve_lyapunov(A, S @ BBt + BBt @ S.T))
-    value = float(np.trace(C @ P @ C.T))
+    side = _BandSide(model, band)
+    value = float(np.trace(C @ side.p @ C.T))
     if has_d:
-        value += 2.0 * float(np.trace((C @ S @ B + band.theta * D) @ D.T))
+        value += 2.0 * float(np.trace((C @ side.s @ B + band.theta * D) @ D.T))
     return value
 
 
-@dataclass
-class GradientWorkspace:
-    """Solutions of the coupled equations behind one cost/gradient call.
+@dataclass(frozen=True, eq=False)
+class _Workspace:
+    """The solves one iterate shares between cost and gradient: the band
+    sides of G and Ghat and the cross Sylvester solutions ``x``, ``y``."""
 
-    ``s_given``/``s_reduced`` are the band-limiting matrices of the full
-    and reduced dynamics.  The limited blocks come from partitioning the
-    error system's Gramians.  ``x_unlimited``/``p_unlimited`` are the
-    standard-Gramian solutions that enter the gradient next to the
-    logarithm sensitivity ``w_sens``.
-    """
-
-    band: FrequencyBand
-    theta: float
-    s_given: np.ndarray
-    s_reduced: np.ndarray
-    x_cross: np.ndarray
-    y_cross: np.ndarray
-    p_reduced: np.ndarray
-    q_reduced: np.ndarray
-    x_unlimited: np.ndarray = None
-    p_unlimited: np.ndarray = None
-    w_sens: np.ndarray = None
-
-
-class _FixedSide:
-    """Quantities depending only on the full model and the band, cached
-    across optimizer iterations."""
-
-    def __init__(self, model, band):
-        band = as_band(band)
-        _require_stable(model, "G")
-        self.model = model
-        self.band = band
-        self.s = s_band(model.A, band) if model.nstates else np.zeros((0, 0))
-        self.sb = self.s @ model.B
-        self.cs = model.C @ self.s
-        self._q = None
-        self._p = None
-
-    @property
-    def q_gram(self):
-        if self._q is None:
-            A, C = self.model.A, self.model.C
-            CtC = C.T @ C
-            self._q = _sym(solve_lyapunov(A.T, self.s.T @ CtC + CtC @ self.s))
-        return self._q
-
-    @property
-    def p_gram(self):
-        if self._p is None:
-            A, B = self.model.A, self.model.B
-            BBt = B @ B.T
-            self._p = _sym(solve_lyapunov(A, self.s @ BBt + BBt @ self.s.T))
-        return self._p
-
-
-def _require_stable(model, label):
-    if model.nstates == 0:
-        return
-    ok, max_re = hurwitz_status(model.A)
-    if not ok:
-        raise NotHurwitz(f"{label} is not stable (max real eigenvalue {max_re:.3e})")
+    g: _BandSide
+    gh: _BandSide
+    x: np.ndarray
+    y: np.ndarray
 
 
 def _check_pair(g, ghat, band):
@@ -211,50 +181,17 @@ def _check_pair(g, ghat, band):
         )
 
 
-def _build_workspace(g, ghat, band, fixed=None, need_gradient=False):
-    band = as_band(band)
-    if fixed is None or fixed.model is not g or fixed.band != band:
-        fixed = _FixedSide(g, band)
-    _require_stable(ghat, "Ghat")
-    _check_pair(g, ghat, band)
-
-    A, B, C = g.A, g.B, g.C
+def _build_workspace(gside, ghat):
+    """Workspace of ``ghat`` against the full model's side ``gside``."""
+    band = gside.band
+    ghside = _BandSide(ghat, band, "Ghat")
+    _check_pair(gside.model, ghat, band)
+    A, B, C = gside.model.A, gside.model.B, gside.model.C
     Ah, Bh, Ch = ghat.A, ghat.B, ghat.C
-    r = ghat.nstates
-    Sh = s_band(Ah, band) if r else np.zeros((0, 0))
-    S = fixed.s
-
-    X = solve_sylvester(A, Ah.T, fixed.sb @ Bh.T + (B @ Bh.T) @ Sh.T)
-    Y = solve_sylvester(A.T, Ah, -(fixed.cs.T @ Ch + C.T @ (Ch @ Sh)))
-    BhBh = Bh @ Bh.T
-    ChCh = Ch.T @ Ch
-    Ph = _sym(solve_lyapunov(Ah, Sh @ BhBh + BhBh @ Sh.T))
-    Qh = _sym(solve_lyapunov(Ah.T, Sh.T @ ChCh + ChCh @ Sh))
-
-    ws = GradientWorkspace(
-        band=band,
-        theta=band.theta,
-        s_given=S,
-        s_reduced=Sh,
-        x_cross=X,
-        y_cross=Y,
-        p_reduced=Ph,
-        q_reduced=Qh,
-    )
-
-    if need_gradient:
-        Xu = solve_sylvester(A, Ah.T, B @ Bh.T)
-        Pu = _sym(solve_lyapunov(Ah, BhBh))
-        Dd = g.D - ghat.D
-        V = ChCh @ Pu - Ch.T @ (C @ Xu) - Ch.T @ Dd @ Bh.T
-        W = np.zeros((r, r))
-        for sign, omega in _finite_endpoints(band):
-            L = frechet_log(-Ah.T - 1j * omega * np.eye(r), V)
-            W += sign * (1j / np.pi * L).real
-        ws.x_unlimited = Xu
-        ws.p_unlimited = Pu
-        ws.w_sens = W
-    return ws, fixed
+    S, Sh = gside.s, ghside.s
+    X = solve_sylvester(A, Ah.T, S @ B @ Bh.T + (B @ Bh.T) @ Sh.T)
+    Y = solve_sylvester(A.T, Ah, -((C @ S).T @ Ch + C.T @ (Ch @ Sh)))
+    return _Workspace(gside, ghside, X, Y)
 
 
 def _finite_endpoints(band):
@@ -268,20 +205,19 @@ def _finite_endpoints(band):
             yield -1.0, lo
 
 
-def _d_term(g, ghat, ws):
-    Dd = g.D - ghat.D
-    if not np.any(Dd):
-        return 0.0
-    inner = (
-        g.C @ ws.s_given @ g.B
-        + ws.theta * g.D
-        - ghat.C @ ws.s_reduced @ ghat.B
-        - ws.theta * ghat.D
+def _d_inner(ws):
+    """``C S B + theta D - Ch Sh Bh - theta Dh``: the feedthrough's
+    coupling to the band, shared by the cost and the ``Dhat`` gradient."""
+    g, gh, theta = ws.g.model, ws.gh.model, ws.g.band.theta
+    return (
+        g.C @ ws.g.s @ g.B
+        + theta * g.D
+        - gh.C @ ws.gh.s @ gh.B
+        - theta * gh.D
     )
-    return 2.0 * float(np.trace(inner @ Dd.T))
 
 
-def error_cost(g, ghat, band, drop_constant=False, form="B", _fixed=None):
+def error_cost(g, ghat, band, drop_constant=False, form="B"):
     """Squared band-limited H2 norm of ``G - Ghat``.
 
     Parameters
@@ -304,92 +240,92 @@ def error_cost(g, ghat, band, drop_constant=False, form="B", _fixed=None):
     -------
     float
     """
-    ws, fixed = _build_workspace(g, ghat, band, fixed=_fixed)
-    return _cost_from_workspace(g, ghat, ws, fixed, drop_constant, form)
+    ws = _build_workspace(_BandSide(g, as_band(band)), ghat)
+    return _cost_from_workspace(ws, drop_constant, form)
 
 
-def _cost_from_workspace(g, ghat, ws, fixed, drop_constant, form):
-    B, C = g.B, g.C
-    Bh, Ch = ghat.B, ghat.C
+def _cost_from_workspace(ws, drop_constant, form):
+    B, C = ws.g.model.B, ws.g.model.C
+    Bh, Ch = ws.gh.model.B, ws.gh.model.C
     if form == "B":
-        value = 2.0 * float(np.trace(B.T @ ws.y_cross @ Bh))
-        value += float(np.trace(Bh.T @ ws.q_reduced @ Bh))
+        value = 2.0 * float(np.trace(B.T @ ws.y @ Bh))
+        value += float(np.trace(Bh.T @ ws.gh.q @ Bh))
         if not drop_constant:
-            value += float(np.trace(B.T @ fixed.q_gram @ B))
+            value += float(np.trace(B.T @ ws.g.q @ B))
     elif form == "C":
-        value = -2.0 * float(np.trace(C @ ws.x_cross @ Ch.T))
-        value += float(np.trace(Ch @ ws.p_reduced @ Ch.T))
+        value = -2.0 * float(np.trace(C @ ws.x @ Ch.T))
+        value += float(np.trace(Ch @ ws.gh.p @ Ch.T))
         if not drop_constant:
-            value += float(np.trace(C @ fixed.p_gram @ C.T))
+            value += float(np.trace(C @ ws.g.p @ C.T))
     else:
         raise ValueError(f"form must be 'B' or 'C', got {form!r}")
-    return value + _d_term(g, ghat, ws)
+    Dd = ws.g.model.D - ws.gh.model.D
+    if np.any(Dd):
+        value += 2.0 * float(np.trace(_d_inner(ws) @ Dd.T))
+    return value
 
 
-def error_gradient(g, ghat, band, mask=None, _fixed=None):
+def error_gradient(g, ghat, band, mask=None):
     """Gradient of :func:`error_cost` in the entries of the reduced model.
 
     Returns ``(dA, dB, dC, dD)`` with the structure mask applied
     elementwise, so pinned positions are exactly zero.  A band reaching
     infinity requires ``maskD`` to be all zero.
     """
-    ws, fixed = _build_workspace(g, ghat, band, fixed=_fixed, need_gradient=True)
-    if mask is None:
-        mask = StructureMask.full(
-            ghat.nstates, ghat.ninputs, ghat.noutputs, free_d=ws.band.is_bounded
-        )
-    return _gradient_from_workspace(g, ghat, ws, mask)
+    return error_cost_and_gradient(g, ghat, band, mask)[1]
 
 
-def _gradient_from_workspace(g, ghat, ws, mask):
-    if not mask.matches(ghat):
+def _gradient_from_workspace(ws, mask):
+    """The gradient from a workspace plus its own solves: the standard
+    cross solution ``Xu``, Ghat's standard Gramian ``Pu`` and one Frechet
+    derivative of the logarithm per finite band endpoint."""
+    g, gh, band = ws.g.model, ws.gh.model, ws.g.band
+    if not mask.matches(gh):
         raise DimensionMismatch("mask shape does not match the reduced model")
-    if not ws.band.is_bounded and np.any(mask.maskD):
+    if not band.is_bounded and np.any(mask.maskD):
         raise UnboundedBandWithFeedthrough(
             "Dhat cannot be free when the band reaches infinity"
         )
-    B, C, D = g.B, g.C, g.D
-    Bh, Ch, Dh = ghat.B, ghat.C, ghat.D
-    Dd = D - Dh
+    A, B, C = g.A, g.B, g.C
+    Ah, Bh, Ch = gh.A, gh.B, gh.C
+    Sh, Ph, Qh = ws.gh.s, ws.gh.p, ws.gh.q
+    r = gh.nstates
+    Dd = g.D - gh.D
 
-    dA = 2.0 * (
-        ws.y_cross.T @ ws.x_unlimited + ws.q_reduced @ ws.p_unlimited - ws.w_sens
-    )
-    dB = 2.0 * (
-        ws.q_reduced @ Bh + ws.y_cross.T @ B - ws.s_reduced.T @ Ch.T @ Dd
-    )
-    dC = 2.0 * (
-        Ch @ ws.p_reduced - C @ ws.x_cross - Dd @ Bh.T @ ws.s_reduced.T
-    )
+    Xu = solve_sylvester(A, Ah.T, B @ Bh.T)
+    Pu = _sym(solve_lyapunov(Ah, Bh @ Bh.T))
+    V = Ch.T @ Ch @ Pu - Ch.T @ (C @ Xu) - Ch.T @ Dd @ Bh.T
+    W = np.zeros((r, r))
+    for sign, omega in _finite_endpoints(band):
+        L = frechet_log(-Ah.T - 1j * omega * np.eye(r), V)
+        W += sign * (1j / np.pi * L).real
+
+    dA = 2.0 * (ws.y.T @ Xu + Qh @ Pu - W)
+    dB = 2.0 * (Qh @ Bh + ws.y.T @ B - Sh.T @ Ch.T @ Dd)
+    dC = 2.0 * (Ch @ Ph - C @ ws.x - Dd @ Bh.T @ Sh.T)
     if np.any(mask.maskD):
-        dD = -2.0 * (
-            C @ ws.s_given @ B
-            + ws.theta * D
-            - Ch @ ws.s_reduced @ Bh
-            - ws.theta * Dh
-            + ws.theta * Dd
-        )
+        dD = -2.0 * (_d_inner(ws) + band.theta * Dd)
     else:
-        dD = np.zeros_like(Dh)
+        dD = np.zeros_like(gh.D)
     return dA * mask.maskA, dB * mask.maskB, dC * mask.maskC, dD * mask.maskD
 
 
 def error_cost_and_gradient(g, ghat, band, mask=None, drop_constant=True,
-                            form="B", _fixed=None):
+                            form="B"):
     """Evaluate cost and gradient from one shared set of solves.
 
     This is the evaluation a quasi-Newton loop calls once per iterate; the
     constant term is dropped by default because it does not influence the
     optimization.
     """
-    ws, fixed = _build_workspace(g, ghat, band, fixed=_fixed, need_gradient=True)
+    band = as_band(band)
+    ws = _build_workspace(_BandSide(g, band), ghat)
     if mask is None:
         mask = StructureMask.full(
-            ghat.nstates, ghat.ninputs, ghat.noutputs, free_d=ws.band.is_bounded
+            ghat.nstates, ghat.ninputs, ghat.noutputs, free_d=band.is_bounded
         )
-    cost = _cost_from_workspace(g, ghat, ws, fixed, drop_constant, form)
-    grads = _gradient_from_workspace(g, ghat, ws, mask)
-    return cost, grads
+    cost = _cost_from_workspace(ws, drop_constant, form)
+    return cost, _gradient_from_workspace(ws, mask)
 
 
 def _sigma_max(model, omega):
@@ -460,10 +396,6 @@ def hinf_w_relative(g, ghat, band, grid_density=2000):
     band = as_band(band)
     if len(band) == 0 or band.measure == 0.0:
         raise EmptyBand("the band contains no interval of positive length")
-    if (g.ninputs, g.noutputs) != (ghat.ninputs, ghat.noutputs):
-        raise DimensionMismatch(
-            "G and Ghat must share input and output dimensions"
-        )
     err = error_system(g, ghat)
     grids = _band_grid(band, int(grid_density), (g, ghat))
     num = _grid_max(err, grids)

@@ -20,6 +20,7 @@ metrics used throughout.
 
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .exceptions import (
 )
 from .freqgram import (
     StructureMask,
-    _FixedSide,
+    _BandSide,
     _build_workspace,
     _cost_from_workspace,
     _gradient_from_workspace,
@@ -197,84 +198,47 @@ class _Parameterization:
     """Pack/unpack the masked free entries of a reduced realization."""
 
     def __init__(self, init, mask):
-        self.freeA = mask.maskA.astype(bool)
-        self.freeB = mask.maskB.astype(bool)
-        self.freeC = mask.maskC.astype(bool)
-        self.freeD = mask.maskD.astype(bool)
-        self.baseA = init.A.copy()
-        self.baseB = init.B.copy()
-        self.baseC = init.C.copy()
-        self.baseD = init.D.copy()
+        self.free = [getattr(mask, "mask" + k).astype(bool) for k in "ABCD"]
+        self.base = [getattr(init, k) for k in "ABCD"]
 
-    def pack(self, model):
-        return np.concatenate([
-            model.A[self.freeA],
-            model.B[self.freeB],
-            model.C[self.freeC],
-            model.D[self.freeD],
-        ])
-
-    def pack_grads(self, grads):
-        dA, dB, dC, dD = grads
-        return np.concatenate([
-            dA[self.freeA], dB[self.freeB], dC[self.freeC], dD[self.freeD],
-        ])
+    def pack(self, mats):
+        """Free entries of ``(A, B, C, D)`` or of a gradient tuple."""
+        return np.concatenate([M[free] for M, free in zip(mats, self.free)])
 
     def unpack(self, x):
-        A = self.baseA.copy()
-        B = self.baseB.copy()
-        C = self.baseC.copy()
-        D = self.baseD.copy()
-        splits = np.cumsum([
-            self.freeA.sum(), self.freeB.sum(), self.freeC.sum(),
-        ])
-        xa, xb, xc, xd = np.split(x, splits)
-        A[self.freeA] = xa
-        B[self.freeB] = xb
-        C[self.freeC] = xc
-        D[self.freeD] = xd
-        return StateSpaceModel(A, B, C, D)
+        mats = [base.copy() for base in self.base]
+        splits = np.cumsum([free.sum() for free in self.free[:3]])
+        for M, free, part in zip(mats, self.free, np.split(x, splits)):
+            M[free] = part
+        return StateSpaceModel(*mats)
 
 
 class _LbfgsMemory:
     """Two-loop recursion over the most recent curvature pairs."""
 
     def __init__(self, memory):
-        self.memory = memory
-        self.s = []
-        self.y = []
-        self.rho = []
+        self.pairs = deque(maxlen=memory)
 
     def reset(self):
-        self.s.clear()
-        self.y.clear()
-        self.rho.clear()
+        self.pairs.clear()
 
     def push(self, s, y):
         sy = float(s @ y)
         if sy <= 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             return
-        if len(self.s) == self.memory:
-            self.s.pop(0)
-            self.y.pop(0)
-            self.rho.pop(0)
-        self.s.append(s)
-        self.y.append(y)
-        self.rho.append(1.0 / sy)
+        self.pairs.append((s, y, 1.0 / sy))
 
     def direction(self, grad):
         q = grad.copy()
         alphas = []
-        for s, y, rho in zip(reversed(self.s), reversed(self.y),
-                             reversed(self.rho)):
+        for s, y, rho in reversed(self.pairs):
             a = rho * (s @ q)
             alphas.append(a)
             q -= a * y
-        if self.s:
-            s, y = self.s[-1], self.y[-1]
+        if self.pairs:
+            s, y, _ = self.pairs[-1]
             q *= (s @ y) / (y @ y)
-        for (s, y, rho), a in zip(zip(self.s, self.y, self.rho),
-                                  reversed(alphas)):
+        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
             b = rho * (y @ q)
             q += (a - b) * s
         return -q
@@ -340,26 +304,16 @@ def h2w_optimize(model, r, band, mask=None, init=None, opts=None,
     if not hurwitz_status(init.A)[0]:
         raise UnstableInit("the initial reduced model must be stable")
 
-    fixed = _FixedSide(model, band)
+    gside = _BandSide(model, band)
     params = _Parameterization(init, mask)
 
-    def cost_only(x):
-        ghat = params.unpack(x)
-        if not hurwitz_status(ghat.A)[0]:
-            return None, ghat
-        ws, _ = _build_workspace(model, ghat, band, fixed=fixed)
-        return _cost_from_workspace(model, ghat, ws, fixed, True, "B"), ghat
+    def gradient(ws):
+        return params.pack(_gradient_from_workspace(ws, mask))
 
-    def cost_grad(ghat):
-        ws, _ = _build_workspace(model, ghat, band, fixed=fixed,
-                                 need_gradient=True)
-        f = _cost_from_workspace(model, ghat, ws, fixed, True, "B")
-        grads = _gradient_from_workspace(model, ghat, ws, mask)
-        return f, params.pack_grads(grads)
-
-    x = params.pack(init)
-    current = init
-    f, g = cost_grad(current)
+    x = params.pack([init.A, init.B, init.C, init.D])
+    ws = _build_workspace(gside, init)
+    f = _cost_from_workspace(ws, True, "B")
+    g = gradient(ws)
     memory = _LbfgsMemory(opts.memory)
     iterations = 0
     status = "iteration_cap"
@@ -377,28 +331,32 @@ def h2w_optimize(model, r, band, mask=None, init=None, opts=None,
             p = -g
             slope = float(g @ p)
 
+        # one workspace per stable trial; the accepted one also gives the
+        # gradient
         alpha = 1.0
-        accepted = None
         for _ in range(opts.max_backtracks):
-            trial_f, trial_model = cost_only(x + alpha * p)
-            if trial_f is not None and np.isfinite(trial_f) and (
-                trial_f <= f + opts.sufficient_decrease * alpha * slope
-            ):
-                accepted = (x + alpha * p, trial_f, trial_model)
-                break
+            x_trial = x + alpha * p
+            ghat = params.unpack(x_trial)
+            if hurwitz_status(ghat.A)[0]:
+                trial = _build_workspace(gside, ghat)
+                f_trial = _cost_from_workspace(trial, True, "B")
+                if np.isfinite(f_trial) and (
+                    f_trial <= f + opts.sufficient_decrease * alpha * slope
+                ):
+                    break
             alpha *= opts.contraction
-        if accepted is None:
+        else:
             status = "line_search_failure"
             break
 
-        x_new, f_new, current = accepted
-        f_new2, g_new = cost_grad(current)
-        memory.push(x_new - x, g_new - g)
-        x, f, g = x_new, f_new2, g_new
+        g_trial = gradient(trial)
+        memory.push(x_trial - x, g_trial - g)
+        x, f, g, ws = x_trial, f_trial, g_trial, trial
         iterations += 1
         if callback is not None:
             callback(iterations, f, float(np.linalg.norm(g, np.inf)))
 
+    current = ws.gh.model
     runtime = time.perf_counter() - t0
     report = evaluate(model, current, band, method="proposed")
     report.iterations = iterations

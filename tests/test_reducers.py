@@ -13,6 +13,7 @@ from bandmor import (
     balanced_truncation,
     choose_init,
     error_cost,
+    error_gradient,
     evaluate,
     gawronski_reduce,
     h2w_optimize,
@@ -260,6 +261,26 @@ class TestOptimize:
         gh, rep = h2w_optimize(g, 2, FULL)
         np.testing.assert_array_equal(gh.D, g.D)
         assert rep.stable
+
+    @pytest.mark.parametrize("band, free_d", [(BAND17, True), (FULL, False)])
+    def test_last_callback_matches_fresh_evaluation(self, band, free_d):
+        # the optimizer reuses each accepted trial's workspace for the
+        # gradient; what it reports must equal a from-scratch evaluation
+        rng = np.random.default_rng(61)
+        g = rand_model(rng, 6, 2, 1, with_d=free_d)
+        mask = StructureMask.full(3, 2, 1, free_d=free_d)
+        history = []
+        gh, rep = h2w_optimize(
+            g, 3, band, mask=mask, opts=OptimizerOptions(max_iterations=15),
+            callback=lambda i, f, gn: history.append((f, gn)),
+        )
+        assert rep.iterations == len(history) > 0
+        cost, gnorm = history[-1]
+        grads = error_gradient(g, gh, band, mask=mask)
+        fresh_gnorm = max(np.abs(d).max() for d in grads)
+        assert cost == pytest.approx(
+            error_cost(g, gh, band, drop_constant=True), rel=1e-12, abs=0.0)
+        assert gnorm == pytest.approx(fresh_gnorm, rel=1e-12, abs=0.0)
 
 
 class TestOptimizerOptions:
