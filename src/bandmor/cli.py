@@ -42,28 +42,17 @@ from .ssmodel import FrequencyBand, error_system, read_model, write_model
 
 __all__ = ["parse_band", "RunConfig", "cmd_reduce", "cmd_analyze", "main"]
 
-
-def _evaluated(name, model, config, ghat):
-    return ghat, evaluate(model, ghat, config.band, method=name)
-
-
-# Method name -> run(model, config, mask) -> (ghat, report).  The entries
-# look the reducers up among this module's globals when they run, so a
-# rebinding of ``cli.evaluate`` or ``cli.h2w_optimize`` takes effect.
-_RUN_METHOD = {
-    "hankel": lambda model, config, mask: _evaluated(
-        "hankel", model, config, balanced_truncation(model, config.order)),
-    "gawronski": lambda model, config, mask: _evaluated(
-        "gawronski", model, config,
-        gawronski_reduce(model, config.order, config.band)),
-    "modgawronski": lambda model, config, mask: _evaluated(
-        "modgawronski", model, config,
-        modified_gawronski_reduce(model, config.order, config.band)),
-    "proposed": lambda model, config, mask: h2w_optimize(
-        model, config.order, config.band, mask=mask,
-        init=_initial_model(model, config), opts=OptimizerOptions()),
+# Truncation method name -> reduce(model, config).  The lambdas look the
+# reducers up among this module's globals when they run, so a rebinding of
+# ``cli.balanced_truncation`` and the like takes effect.
+_TRUNCATE = {
+    "hankel": lambda model, config: balanced_truncation(model, config.order),
+    "gawronski": lambda model, config: gawronski_reduce(
+        model, config.order, config.band),
+    "modgawronski": lambda model, config: modified_gawronski_reduce(
+        model, config.order, config.band),
 }
-METHODS = tuple(_RUN_METHOD)
+METHODS = (*_TRUNCATE, "proposed")
 
 
 def parse_band(text):
@@ -189,7 +178,14 @@ def cmd_reduce(config):
     any_unstable = False
     for name in config.methods:
         t0 = time.perf_counter()
-        ghat, report = _RUN_METHOD[name](model, config, mask)
+        if name == "proposed":
+            ghat, report = h2w_optimize(
+                model, config.order, config.band, mask=mask,
+                init=_initial_model(model, config), opts=OptimizerOptions(),
+            )
+        else:
+            ghat = _TRUNCATE[name](model, config)
+            report = evaluate(model, ghat, config.band, method=name)
         report.runtime_seconds = time.perf_counter() - t0
         rows.append(report)
         reduced[name] = ghat

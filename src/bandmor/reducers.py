@@ -311,7 +311,7 @@ def h2w_optimize(model, r, band, mask=None, init=None, opts=None,
         return params.pack(_gradient_from_workspace(ws, mask))
 
     x = params.pack([init.A, init.B, init.C, init.D])
-    ws = _build_workspace(gside, init)
+    ws = _build_workspace(gside, init, need_gradient=True)
     f = _cost_from_workspace(ws, True, "B")
     g = gradient(ws)
     memory = _LbfgsMemory(opts.memory)
