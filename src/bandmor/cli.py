@@ -145,9 +145,9 @@ def _write_response(path, model, grid):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for w in grid:
-            resp = np.abs(model.freq_response(w))
-            writer.writerow([_fmt(w)] + [_fmt(v) for v in resp.ravel()])
+        mags = np.abs(model.freq_response(grid)).reshape(len(grid), p * m)
+        for w, row in zip(grid, mags):
+            writer.writerow([_fmt(w)] + [_fmt(v) for v in row])
 
 
 def cmd_reduce(config):

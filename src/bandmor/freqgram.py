@@ -23,7 +23,7 @@ from .matfun import frechet_log, s_band, solve_lyapunov, solve_sylvester
 # not called here since s_band checks stability, but the benchmark's traced
 # run wraps every module's binding of it
 from .matfun import hurwitz_status  # noqa: F401
-from .ssmodel import as_band, error_system
+from .ssmodel import as_band
 
 __all__ = [
     "StructureMask",
@@ -114,6 +114,23 @@ class _BandSide:
         CtC = C.T @ C
         return _sym(solve_lyapunov(A.T, S.T @ CtC + CtC @ S))
 
+    def norm_sq(self):
+        """The model's squared band-limited H2 measure (:func:`h2w_norm_sq`)."""
+        band = self.band
+        B, C, D = self.model.B, self.model.C, self.model.D
+        has_d = bool(np.any(D))
+        if has_d and not band.is_bounded:
+            raise UnboundedBandWithFeedthrough(
+                "the band-limited H2 measure over an unbounded band requires "
+                "D = 0"
+            )
+        if self.model.nstates == 0:
+            return 2.0 * band.theta * float(np.trace(D @ D.T)) if has_d else 0.0
+        value = float(np.trace(C @ self.p @ C.T))
+        if has_d:
+            value += 2.0 * float(np.trace((C @ self.s @ B + band.theta * D) @ D.T))
+        return value
+
 
 def limited_gramians(model, band):
     """Frequency-limited controllability and observability Gramians.
@@ -134,20 +151,7 @@ def h2w_norm_sq(model, band):
     trace(G(i nu) G(i nu)^H)``.  With a bounded band the model may have a
     feedthrough term; a band reaching infinity requires ``D = 0``.
     """
-    band = as_band(band)
-    B, C, D = model.B, model.C, model.D
-    has_d = bool(np.any(D))
-    if has_d and not band.is_bounded:
-        raise UnboundedBandWithFeedthrough(
-            "the band-limited H2 measure over an unbounded band requires D = 0"
-        )
-    if model.nstates == 0:
-        return 2.0 * band.theta * float(np.trace(D @ D.T)) if has_d else 0.0
-    side = _BandSide(model, band)
-    value = float(np.trace(C @ side.p @ C.T))
-    if has_d:
-        value += 2.0 * float(np.trace((C @ side.s @ B + band.theta * D) @ D.T))
-    return value
+    return _BandSide(model, as_band(band)).norm_sq()
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,11 +186,15 @@ class _Workspace:
         return Xu, Pu, W
 
 
-def _check_pair(g, ghat, band):
+def _check_dims(g, ghat):
     if (g.ninputs, g.noutputs) != (ghat.ninputs, ghat.noutputs):
         raise DimensionMismatch(
             "G and Ghat must share input and output dimensions"
         )
+
+
+def _check_pair(g, ghat, band):
+    _check_dims(g, ghat)
     if not band.is_bounded and np.any(g.D != ghat.D):
         raise UnboundedBandWithFeedthrough(
             "a band reaching infinity requires Dhat = D so the error has no "
@@ -260,6 +268,15 @@ def error_cost(g, ghat, band, drop_constant=False, form="B"):
     """
     ws = _build_workspace(_BandSide(g, as_band(band)), ghat)
     return _cost_from_workspace(ws, drop_constant, form)
+
+
+def _error_and_norm_sq(g, ghat, band):
+    """``(error_cost(g, ghat, band), h2w_norm_sq(g, band))`` from one band
+    side of G.  As in those two functions the cost takes G's Gramian ``q``
+    and the norm its Gramian ``p``, so the values are the same."""
+    gside = _BandSide(g, band)
+    ws = _build_workspace(gside, ghat)
+    return _cost_from_workspace(ws, False, "B"), gside.norm_sq()
 
 
 def _cost_from_workspace(ws, drop_constant, form):
@@ -336,11 +353,6 @@ def error_cost_and_gradient(g, ghat, band, mask=None, drop_constant=True,
     return cost, _gradient_from_workspace(ws, mask)
 
 
-def _sigma_max(model, omega):
-    resp = model.freq_response(omega)
-    return float(np.linalg.svd(resp, compute_uv=False)[0])
-
-
 def _band_grid(band, points, models):
     """Per-interval frequency grids of ``points`` points each: log-spaced
     when the interval starts above zero, linear from zero otherwise.  An
@@ -378,16 +390,21 @@ def _golden_max(fun, a, b, iters=80):
     return max(f1, f2)
 
 
-def _grid_max(model, grids):
+def _grid_max(response, grids):
+    """Largest singular value of ``response(omega)`` over the grids: one
+    batched evaluation per grid, then golden section around its maximizer."""
+    def sigma_max(omega):
+        return np.linalg.svd(response(omega), compute_uv=False)[..., 0]
+
     best = -np.inf
     for grid in grids:
-        vals = np.array([_sigma_max(model, w) for w in grid])
+        vals = sigma_max(grid)
         k = int(np.argmax(vals))
         best = max(best, float(vals[k]))
         a = grid[max(k - 1, 0)]
         b = grid[min(k + 1, len(grid) - 1)]
         if b > a:
-            best = max(best, _golden_max(lambda w: _sigma_max(model, w), a, b))
+            best = max(best, _golden_max(lambda w: float(sigma_max(w)), a, b))
     return best
 
 
@@ -399,15 +416,17 @@ def hinf_w_relative(g, ghat, band, grid_density=2000):
     from zero otherwise), refines around the grid maximizer by golden
     section, and divides by the same quantity for ``G`` alone.  Intervals
     reaching infinity are capped at a multiple of the models' spectral
-    radii.
+    radii.  The error's response is the difference of the two models'
+    responses, each evaluated on the whole grid at once from the model's
+    cached Schur factor.
     """
     band = as_band(band)
     if len(band) == 0 or band.measure == 0.0:
         raise EmptyBand("the band contains no interval of positive length")
-    err = error_system(g, ghat)
+    _check_dims(g, ghat)
     grids = _band_grid(band, int(grid_density), (g, ghat))
-    num = _grid_max(err, grids)
-    den = _grid_max(g, grids)
+    num = _grid_max(lambda w: g.freq_response(w) - ghat.freq_response(w), grids)
+    den = _grid_max(g.freq_response, grids)
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den

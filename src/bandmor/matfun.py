@@ -6,7 +6,8 @@ logarithm (inverse scaling and squaring on the triangular factor, with
 ``scipy.linalg.sqrtm`` square roots and a Pade step) and its Frechet
 derivative (the logarithm of a 2x2 block matrix), and the band-limiting
 matrices that turn standard Lyapunov right-hand sides into
-frequency-limited ones.
+frequency-limited ones.  The frequency response of a state-space
+realization is evaluated from the complex Schur factor of its dynamics.
 
 All routines work on dense numpy arrays and are pure functions of their
 inputs; nothing here keeps state between calls.
@@ -14,13 +15,14 @@ inputs; nothing here keeps state between calls.
 
 import numpy as np
 from scipy.linalg import schur, solve_triangular, sqrtm
-from scipy.linalg.lapack import ztrsyl
+from scipy.linalg.lapack import ztrsyl, ztrtrs
 from scipy.special import roots_legendre
 
 from .exceptions import (
     BranchCut,
     DimensionMismatch,
     NotHurwitz,
+    SingularAtFrequency,
     SingularResolvent,
     SpectrumClash,
 )
@@ -50,6 +52,15 @@ _GL_WEIGHTS = _GL_WEIGHTS / 2.0
 # Relative margin below zero that the spectrum must clear to count as
 # Hurwitz; guards the logarithm branch cut at -A - i*omega*I.
 _HURWITZ_RTOL = 1e-12
+
+# Frequencies per block of the vectorized response substitution; bounds its
+# (n, block, m) work array, and with it the peak memory of a long grid.
+_RESPONSE_BLOCK = 256
+
+# A Schur diagonal entry within this many ulps of ``1 + |t_kk|`` from
+# ``i omega`` is a pole on the axis: the computed diagonal of an exactly
+# imaginary eigenvalue carries roundoff, so an exact-zero test misses it.
+_AXIS_POLE_ULPS = 4
 
 
 def _square(M, name):
@@ -293,3 +304,60 @@ def _s_endpoint(A, omega):
     if np.isinf(omega):
         return 0.5 * np.eye(A.shape[0])
     return _s_omega_checked(A, float(omega))
+
+
+def _response_factor(A, B, C):
+    """``(T, U^H B, C U)`` from the complex Schur form ``A = U T U^H``: the
+    factor from which :func:`_tri_response` evaluates the response."""
+    T, U = schur(np.asarray(A, dtype=complex), output="complex")
+    return np.ascontiguousarray(T), U.conj().T @ B, C @ U
+
+
+def _tri_response(T, Bt, Ct, omega):
+    """``Ct (i omega I - T)^-1 Bt`` for an upper-triangular ``T``.
+
+    ``omega`` is a 0-d float array, giving a ``(p, m)`` matrix through one
+    LAPACK ``ztrtrs``, or a 1-d one of F frequencies, giving an
+    ``(F, p, m)`` stack.  The stack comes from back substitution vectorized over blocks
+    of frequencies: one matrix-vector product per row of ``T`` and block.
+
+    Raises
+    ------
+    SingularAtFrequency
+        If some ``i omega`` is an eigenvalue of ``T`` to within a few ulps.
+    """
+    t = np.diag(T)
+    tol = _AXIS_POLE_ULPS * np.finfo(float).eps * (1.0 + np.abs(t))
+
+    def shifted(w):
+        # i w - t_kk per frequency and k, built per block to bound memory
+        d = 1j * w[..., None] - t
+        on_pole = np.any(np.abs(d) <= tol, axis=-1)
+        if np.any(on_pole):
+            raise SingularAtFrequency(
+                f"i*{float(w[on_pole][0])} is an eigenvalue of A; "
+                "response undefined"
+            )
+        return d
+
+    if omega.ndim == 0:
+        M = -T
+        np.fill_diagonal(M, shifted(omega))
+        Z, info = ztrtrs(M, Bt)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"ztrtrs: info = {info}")
+        return Ct @ Z
+
+    n, m, p = T.shape[0], Bt.shape[1], Ct.shape[0]
+    out = np.empty((omega.size, p, m), dtype=complex)
+    for start in range(0, omega.size, _RESPONSE_BLOCK):
+        dk = shifted(omega[start:start + _RESPONSE_BLOCK])
+        f = dk.shape[0]
+        Z = np.empty((n, f, m), dtype=complex)
+        for k in range(n - 1, -1, -1):
+            acc = T[k, k + 1:] @ Z[k + 1:].reshape(n - k - 1, f * m)
+            Z[k] = (Bt[k] + acc.reshape(f, m)) / dk[:, k, None]
+        out[start:start + f] = (
+            (Ct @ Z.reshape(n, f * m)).reshape(p, f, m).transpose(1, 0, 2)
+        )
+    return out

@@ -9,6 +9,7 @@ intervals on [0, inf].
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,9 +18,8 @@ from .exceptions import (
     NonFinite,
     OverlapError,
     ParseError,
-    SingularAtFrequency,
 )
-from .matfun import hurwitz_status
+from .matfun import _response_factor, _tri_response, hurwitz_status
 
 __all__ = [
     "StateSpaceModel",
@@ -107,21 +107,32 @@ class StateSpaceModel:
             raise DimensionMismatch("a pure-gain model has no eigenvalues")
         return hurwitz_status(self.A)
 
-    def freq_response(self, omega):
-        """Transfer matrix ``C (i omega I - A)^-1 B + D`` at a frequency.
+    @cached_property
+    def _schur(self):
+        # the model is immutable, so the factor cannot go stale
+        return _response_factor(self.A, self.B, self.C)
 
-        Uses an LU solve per input column; never forms the inverse.
+    def freq_response(self, omega):
+        """Transfer matrix ``C (i omega I - A)^-1 B + D``.
+
+        ``omega`` in rad/s is a scalar, giving a ``(p, m)`` matrix, or a 1-d
+        array of F frequencies, giving an ``(F, p, m)`` stack.  ``A`` is
+        reduced to complex Schur form ``U T U^H`` once per model; each
+        frequency then costs a triangular solve with ``i omega I - T``.
+
+        Raises
+        ------
+        SingularAtFrequency
+            If some ``i omega`` is an eigenvalue of ``A`` to roundoff.
         """
+        w = np.asarray(omega, dtype=float)
+        if w.ndim > 1:
+            raise ValueError(
+                f"omega must be a scalar or a 1-d array, got ndim={w.ndim}"
+            )
         if self.nstates == 0:
-            return self.D.astype(complex)
-        M = 1j * float(omega) * np.eye(self.nstates) - self.A
-        try:
-            Z = np.linalg.solve(M, self.B)
-        except np.linalg.LinAlgError as exc:
-            raise SingularAtFrequency(
-                f"i*{omega} is an eigenvalue of A; response undefined"
-            ) from exc
-        return self.C @ Z + self.D
+            return np.broadcast_to(self.D, w.shape + self.D.shape).astype(complex)
+        return _tri_response(*self._schur, w) + self.D
 
     def __repr__(self):
         return (

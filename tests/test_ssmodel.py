@@ -20,7 +20,7 @@ from bandmor.exceptions import (
 )
 
 from conftest import REPO_ROOT
-from _oracles import rand_model, two_mode_model
+from _oracles import rand_model, rand_resonant_model, two_mode_model
 
 
 class TestValidation:
@@ -112,6 +112,53 @@ class TestFreqResponse:
                             [[1.0, 0.0]], [[0.0]])
         with pytest.raises(SingularAtFrequency):
             m.freq_response(1.0)
+
+    def test_singular_at_pole_in_array(self):
+        m = StateSpaceModel([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [1.0]],
+                            [[1.0, 0.0]], [[0.0]])
+        with pytest.raises(SingularAtFrequency):
+            m.freq_response(np.array([0.5, 1.0, 2.0]))
+
+    def test_pole_just_off_axis_is_finite(self):
+        # the optimizer leaves out-of-band poles this close to the axis,
+        # and the CLI writes their responses; G(s) = 1 / ((s + eps)^2 + 1)
+        eps = 1e-10
+        m = StateSpaceModel([[-eps, 1.0], [-1.0, -eps]], [[0.0], [1.0]],
+                            [[1.0, 0.0]], [[0.0]])
+        exact = 1.0 / (2j * eps + eps ** 2)
+        assert m.freq_response(1.0)[0, 0] == pytest.approx(exact, rel=1e-4)
+        stack = m.freq_response(np.array([0.5, 1.0]))
+        assert stack[1, 0, 0] == pytest.approx(exact, rel=1e-4)
+
+    def test_array_equals_stack_of_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        g = rand_model(rng, 6, 2, 3, with_d=True)
+        grid = np.linspace(0.0, 4.0, 30)
+        stack = g.freq_response(grid)
+        assert stack.shape == (30, 3, 2)
+        singles = np.array([g.freq_response(w) for w in grid])
+        np.testing.assert_allclose(stack, singles, rtol=0,
+                                   atol=1e-12 * np.abs(singles).max())
+        with pytest.raises(ValueError):
+            g.freq_response(grid.reshape(5, 6))
+
+    def test_array_matches_direct_solve_across_blocks(self):
+        # non-normal resonant dynamics with a feedthrough, on a grid that
+        # spans several substitution blocks and ends in a partial one
+        rng = np.random.default_rng(40)
+        g = rand_resonant_model(rng, 40, 2, 3)
+        g = StateSpaceModel(g.A, g.B, g.C, rng.standard_normal((3, 2)))
+        grid = np.linspace(0.0, 6.0, 700)
+        eye = np.eye(40)
+        ref = np.array([g.C @ np.linalg.solve(1j * w * eye - g.A, g.B) + g.D
+                        for w in grid])
+        np.testing.assert_allclose(g.freq_response(grid), ref, rtol=1e-8)
+
+    def test_pure_gain_array_shape(self):
+        m = StateSpaceModel.pure_gain([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        stack = m.freq_response(np.array([0.0, 1.0, 10.0, 100.0]))
+        assert stack.shape == (4, 3, 2)
+        np.testing.assert_array_equal(stack, np.broadcast_to(m.D, (4, 3, 2)))
 
 
 class TestErrorSystem:

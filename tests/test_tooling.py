@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import bandmor.reducers
-from bandmor import FrequencyBand, OptimizerOptions
+from bandmor import (FrequencyBand, OptimizerOptions, StateSpaceModel,
+                     modified_gawronski_reduce)
 from conftest import REPO_ROOT
 from _oracles import rand_model
 
@@ -29,10 +30,11 @@ def test_traced_bindings_resolve(spans):
             assert callable(getattr(owner, attr, None)), (name, attr)
 
 
-def _traced_optimize(spans, *args, **kwargs):
+def _traced(spans, function, *args, **kwargs):
     tracer = spans.Tracer()
     with tracer.installed():
-        bandmor.reducers.h2w_optimize(*args, **kwargs)
+        # looked up once installed, so the call goes through the wrapper
+        getattr(bandmor.reducers, function)(*args, **kwargs)
     return {name: value for name, (value, _) in tracer.layer_metrics().items()}
 
 
@@ -43,13 +45,38 @@ def test_traced_optimizer_counts(spans):
     rng = np.random.default_rng(7)
     g = rand_model(rng, 5, 1, 1)
     band = FrequencyBand([(0.0, 1.7)])
-    at_optimum = _traced_optimize(spans, g, 5, band, init=g)
+    at_optimum = _traced(spans, "h2w_optimize", g, 5, band, init=g)
     assert at_optimum["reducers.iterations"] == 0
     assert at_optimum["reducers.trials"] == 0
     assert at_optimum["freqgram.workspace_grad_calls"] == 1
 
-    run = _traced_optimize(spans, g, 2, band,
-                           opts=OptimizerOptions(max_iterations=3))
+    run = _traced(spans, "h2w_optimize", g, 2, band,
+                  opts=OptimizerOptions(max_iterations=3))
     assert run["reducers.iterations"] == 3
     assert run["reducers.trials"] >= 3
     assert run["freqgram.workspace_grad_calls"] == 1
+
+
+def test_traced_evaluate_factors_each_model_once(spans):
+    # the peak search takes each model's response on a whole grid per call
+    # from one cached Schur factor; per-point solves would make thousands
+    # of calls, and a factor per call would show in the Schur counts
+    rng = np.random.default_rng(3)
+    n, r = 30, 6
+    g = rand_model(rng, n, 2, 2)
+    band = FrequencyBand([(0.0, 1.7)])
+    ghat = modified_gawronski_reduce(g, r, band)
+
+    def traced_evaluate(reduced):
+        return _traced(spans, "evaluate", g, reduced, band)
+
+    first = traced_evaluate(ghat)
+    assert 100 <= first["ssmodel.freq_response_calls"] < 1000
+    # the same matrices in a new model: only Ghat is factored again
+    fresh = StateSpaceModel(ghat.A, ghat.B, ghat.C, ghat.D)
+    second = traced_evaluate(fresh)
+    assert first["matfun.schur_calls"] - second["matfun.schur_calls"] == 1
+    assert first["matfun.schur_n3"] - second["matfun.schur_n3"] == n ** 3
+    third = traced_evaluate(fresh)
+    assert second["matfun.schur_calls"] - third["matfun.schur_calls"] == 1
+    assert second["matfun.schur_n3"] - third["matfun.schur_n3"] == r ** 3
