@@ -38,7 +38,7 @@ from .reducers import (
     h2w_optimize,
     modified_gawronski_reduce,
 )
-from .ssmodel import FrequencyBand, error_system, read_model, write_model
+from .ssmodel import FrequencyBand, read_model, write_model
 
 __all__ = ["parse_band", "RunConfig", "cmd_reduce", "cmd_analyze", "main"]
 
@@ -137,15 +137,16 @@ def _metric(x):
     return "--" if x is None else _fmt(x)
 
 
-def _write_response(path, model, grid):
-    p, m = model.noutputs, model.ninputs
+def _write_response(path, response, grid):
+    """Write the magnitudes of an ``(F, p, m)`` response on ``grid``."""
+    p, m = response.shape[1:]
     header = ["omega_rad_s"] + [
         f"mag_y{i + 1}u{j + 1}" for i in range(p) for j in range(m)
     ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        mags = np.abs(model.freq_response(grid)).reshape(len(grid), p * m)
+        mags = np.abs(response).reshape(len(grid), p * m)
         for w, row in zip(grid, mags):
             writer.writerow([_fmt(w)] + [_fmt(v) for v in row])
 
@@ -215,11 +216,13 @@ def cmd_reduce(config):
     if config.respgrid > 0:
         grid = np.unique(np.concatenate(_band_grid(
             config.band, config.respgrid, [model, *reduced.values()])))
-        _write_response(out_dir / "response_given.csv", model, grid)
+        given = model.freq_response(grid)
+        _write_response(out_dir / "response_given.csv", given, grid)
         for name, ghat in reduced.items():
-            _write_response(out_dir / f"response_{name}.csv", ghat, grid)
-            _write_response(out_dir / f"error_{name}.csv",
-                            error_system(model, ghat), grid)
+            response = ghat.freq_response(grid)
+            _write_response(out_dir / f"response_{name}.csv", response, grid)
+            _write_response(out_dir / f"error_{name}.csv", given - response,
+                            grid)
 
     return 2 if any_unstable else 0
 

@@ -19,10 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionMismatch, EmptyBand, UnboundedBandWithFeedthrough
-from .matfun import frechet_log, s_band, solve_lyapunov, solve_sylvester
-# not called here since s_band checks stability, but the benchmark's traced
-# run wraps every module's binding of it
-from .matfun import hurwitz_status  # noqa: F401
+from .matfun import (_lyapunov_schur, _require_hurwitz, _s_band_schur,
+                     _sylvester_schur, frechet_log)
+# not called here since every solve takes a model's cached Schur factor,
+# but the benchmark's traced run wraps this module's bindings of them
+from .matfun import hurwitz_status, s_band  # noqa: F401
+from .matfun import solve_lyapunov, solve_sylvester  # noqa: F401
 from .ssmodel import as_band
 
 __all__ = [
@@ -94,25 +96,28 @@ class _BandSide:
     """A stable model's quantities on a band, for the full model G and the
     reduced model Ghat alike: the band-limiting matrix ``s`` of its
     dynamics and, computed on first use, the frequency-limited Gramians
-    ``p`` and ``q``.  An unstable model raises :class:`NotHurwitz` from
-    :func:`s_band`."""
+    ``p`` and ``q``, all from the model's one Schur factor.  An unstable
+    model raises :class:`NotHurwitz`."""
 
     def __init__(self, model, band):
         self.model = model
         self.band = band
-        self.s = s_band(model.A, band) if model.nstates else np.zeros((0, 0))
+        _require_hurwitz(model.A)
+        self.s = _s_band_schur(model.schur_factor, band)
 
     @cached_property
     def p(self):
-        A, B, S = self.model.A, self.model.B, self.s
+        B, S = self.model.B, self.s
         BBt = B @ B.T
-        return _sym(solve_lyapunov(A, S @ BBt + BBt @ S.T))
+        return _sym(_lyapunov_schur(self.model.schur_factor,
+                                    S @ BBt + BBt @ S.T))
 
     @cached_property
     def q(self):
-        A, C, S = self.model.A, self.model.C, self.s
+        C, S = self.model.C, self.s
         CtC = C.T @ C
-        return _sym(solve_lyapunov(A.T, S.T @ CtC + CtC @ S))
+        return _sym(_lyapunov_schur(self.model.schur_factor,
+                                    S.T @ CtC + CtC @ S, "C"))
 
     def norm_sq(self):
         """The model's squared band-limited H2 measure (:func:`h2w_norm_sq`)."""
@@ -171,13 +176,14 @@ class _Workspace:
         Gramian and the sum of one Frechet derivative of the logarithm per
         finite band endpoint."""
         g, gh, band = self.g.model, self.gh.model, self.g.band
-        A, B, C = g.A, g.B, g.C
+        B, C = g.B, g.C
         Ah, Bh, Ch = gh.A, gh.B, gh.C
         r = gh.nstates
         Dd = g.D - gh.D
 
-        Xu = solve_sylvester(A, Ah.T, B @ Bh.T)
-        Pu = _sym(solve_lyapunov(Ah, Bh @ Bh.T))
+        Xu = _sylvester_schur(g.schur_factor, gh.schur_factor, B @ Bh.T,
+                              tranb="C")
+        Pu = _sym(_lyapunov_schur(gh.schur_factor, Bh @ Bh.T))
         V = Ch.T @ Ch @ Pu - Ch.T @ (C @ Xu) - Ch.T @ Dd @ Bh.T
         W = np.zeros((r, r))
         for sign, omega in _finite_endpoints(band):
@@ -209,11 +215,15 @@ def _build_workspace(gside, ghat, need_gradient=False):
     band = gside.band
     _check_pair(gside.model, ghat, band)
     ghside = _BandSide(ghat, band)
-    A, B, C = gside.model.A, gside.model.B, gside.model.C
-    Ah, Bh, Ch = ghat.A, ghat.B, ghat.C
+    B, C = gside.model.B, gside.model.C
+    Bh, Ch = ghat.B, ghat.C
     S, Sh = gside.s, ghside.s
-    X = solve_sylvester(A, Ah.T, S @ B @ Bh.T + (B @ Bh.T) @ Sh.T)
-    Y = solve_sylvester(A.T, Ah, -((C @ S).T @ Ch + C.T @ (Ch @ Sh)))
+    # A X + X Ah.T + F = 0 and A.T Y + Y Ah + F = 0 from the factors of A
+    # and Ah: the transposes are ztrsyl flags
+    fa, fh = gside.model.schur_factor, ghat.schur_factor
+    X = _sylvester_schur(fa, fh, S @ B @ Bh.T + (B @ Bh.T) @ Sh.T, tranb="C")
+    Y = _sylvester_schur(fa, fh, -((C @ S).T @ Ch + C.T @ (Ch @ Sh)),
+                         trana="C")
     ws = _Workspace(gside, ghside, X, Y)
     if need_gradient:
         ws.gradient_solves

@@ -1,17 +1,25 @@
 """Dense matrix-equation and matrix-function kernels.
 
-Sylvester and Lyapunov solvers (Bartels-Stewart: a complex Schur form and
-LAPACK ``ztrsyl`` on the triangular factors), the principal matrix
-logarithm (inverse scaling and squaring on the triangular factor, with
-``scipy.linalg.sqrtm`` square roots and a Pade step) and its Frechet
-derivative (the logarithm of a 2x2 block matrix), and the band-limiting
-matrices that turn standard Lyapunov right-hand sides into
-frequency-limited ones.  The frequency response of a state-space
-realization is evaluated from the complex Schur factor of its dynamics.
+Every kernel works on a complex Schur factor ``A = U T U^H``
+(:class:`SchurFactor`): Sylvester and Lyapunov solvers (Bartels-Stewart,
+LAPACK ``ztrsyl`` on the triangular factors, whose ``trana``/``tranb``
+flags let one factor of ``A`` also serve ``A^H``, which is ``A.T`` for
+real ``A``), the principal matrix logarithm (inverse scaling and squaring
+on the triangular factor, with ``scipy.linalg.sqrtm`` square roots and a
+Pade step) and its Frechet derivative (the logarithm of a 2x2 block
+matrix), the band-limiting matrices that turn standard Lyapunov
+right-hand sides into frequency-limited ones (logarithms of
+``-T - i omega I``, which is already triangular), and the frequency
+response.  The public functions take arrays: each factors its operands
+and calls the triangular kernel.  A state-space model caches the factor
+of its dynamics, so the model is factored once for all of these.
 
 All routines work on dense numpy arrays and are pure functions of their
 inputs; nothing here keeps state between calls.
 """
+
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import schur, solve_triangular, sqrtm
@@ -93,15 +101,69 @@ def _require_hurwitz(A, what="A"):
         raise NotHurwitz(f"{what} is not Hurwitz (max real eigenvalue {max_re:.3e})")
 
 
-def _trsyl(TA, TB, F, tranb="N"):
-    """Solve ``TA @ Y + Y @ op(TB) + F = 0`` for upper-triangular ``TA``
-    and ``TB``, where ``op(TB)`` is ``TB`` (``tranb="N"``) or its conjugate
-    transpose (``tranb="C"``).  LAPACK solves for ``scale * Y`` with
-    ``scale <= 1`` chosen to avoid overflow."""
-    Y, scale, info = ztrsyl(TA, TB, -F, tranb=tranb)
+class SchurFactor(NamedTuple):
+    """Complex Schur form ``A = U T U^H`` of a square matrix: ``T`` upper
+    triangular, ``U`` unitary, ``real`` whether ``A`` was real."""
+
+    T: np.ndarray
+    U: np.ndarray
+    real: bool
+
+    def conj(self):
+        """The factor ``conj(A) = conj(U) conj(T) conj(U)^H``."""
+        return SchurFactor(self.T.conj(), self.U.conj(), self.real)
+
+
+def complex_schur(A):
+    """Complex Schur factor of a square matrix (:class:`SchurFactor`)."""
+    A = _square(A, "A")
+    T, U = schur(A.astype(complex), output="complex")
+    return SchurFactor(T, U, not np.iscomplexobj(A))
+
+
+def _sylvester_schur(fa, fb, C, trana="N", tranb="N"):
+    """Solve ``op(A) X + X op(B) + C = 0`` from the Schur factors ``fa`` of
+    ``A`` and ``fb`` of ``B``; ``op(M)`` is ``M`` (``"N"``) or ``M^H``
+    (``"C"``), which is ``M.T`` for real ``M``.  With ``op(A) = U op(TA)
+    U^H`` and ``op(B) = V op(TB) V^H`` the solution is ``U Y V^H`` for the
+    triangular solution ``Y`` from LAPACK ``ztrsyl``, which solves for
+    ``scale * Y`` with ``scale <= 1`` chosen to avoid overflow.  Real
+    whenever ``A``, ``B`` and ``C`` are."""
+    C = np.atleast_2d(np.asarray(C))
+    n, m = fa.T.shape[0], fb.T.shape[0]
+    if C.shape != (n, m):
+        raise DimensionMismatch(f"C must have shape {(n, m)}, got {C.shape}")
+    if n == 0 or m == 0:
+        return np.zeros((n, m))
+
+    la = np.diag(fa.T) if trana == "N" else np.diag(fa.T).conj()
+    mu = np.diag(fb.T) if tranb == "N" else np.diag(fb.T).conj()
+    sep = np.abs(la[:, None] + mu[None, :])
+    size = 1.0 + np.abs(la)[:, None] + np.abs(mu)[None, :]
+    if np.any(sep <= 1e-13 * size):
+        i, j = np.unravel_index(np.argmin(sep / size), sep.shape)
+        raise SpectrumClash(
+            f"eigenvalue {la[i]:.6g} of A clashes with eigenvalue "
+            f"{-mu[j]:.6g} of -B"
+        )
+
+    Y, scale, info = ztrsyl(fa.T, fb.T, -(fa.U.conj().T @ C @ fb.U),
+                            trana=trana, tranb=tranb)
     if info < 0:
         raise np.linalg.LinAlgError(f"ztrsyl: argument {-info} is invalid")
-    return Y / scale
+    X = fa.U @ (Y / scale) @ fb.U.conj().T
+    real_data = fa.real and fb.real and not np.iscomplexobj(C)
+    return X.real if real_data else X
+
+
+def _lyapunov_schur(f, W, trans="N"):
+    """Solve ``op(A) P + P op(A).T + W = 0`` from the Schur factor ``f`` of
+    ``A``, with ``op`` as in :func:`_sylvester_schur`.  For real ``A``,
+    ``"N"`` is ``A P + P A.T + W = 0`` and ``"C"`` its dual ``A.T Q + Q A
+    + W = 0``.  ``op(A).T`` is ``conj(op(A))^H``, so its factor is
+    ``f.conj()`` with the other flag."""
+    other = "C" if trans == "N" else "N"
+    return _sylvester_schur(f, f.conj(), W, trans, other)
 
 
 def solve_sylvester(A, B, C):
@@ -127,71 +189,46 @@ def solve_sylvester(A, B, C):
     Notes
     -----
     Both operands are reduced to complex Schur form and the triangular
-    system is solved by LAPACK ``ztrsyl`` (Bartels-Stewart).
+    system is solved by LAPACK ``ztrsyl`` (Bartels-Stewart).  Callers that
+    hold a factor already, such as a model's cached
+    :attr:`~bandmor.StateSpaceModel.schur_factor`, call the same
+    triangular kernel on it directly; ``ztrsyl``'s transpose flags let one
+    factor of ``A`` serve ``A.T`` as well.
     """
-    A = _square(A, "A")
     B = _square(B, "B")
-    C = np.atleast_2d(np.asarray(C))
-    n, m = A.shape[0], B.shape[0]
-    if C.shape != (n, m):
-        raise DimensionMismatch(f"C must have shape {(n, m)}, got {C.shape}")
-    if n == 0 or m == 0:
-        return np.zeros((n, m))
-
-    real_data = not any(np.iscomplexobj(M) for M in (A, B, C))
-    TA, UA = schur(A.astype(complex), output="complex")
-    TB, UB = schur(B.astype(complex), output="complex")
-
-    la = np.diag(TA)
-    mu = np.diag(TB)
-    sep = np.abs(la[:, None] + mu[None, :])
-    scale = 1.0 + np.abs(la)[:, None] + np.abs(mu)[None, :]
-    if np.any(sep <= 1e-13 * scale):
-        i, j = np.unravel_index(np.argmin(sep / scale), sep.shape)
-        raise SpectrumClash(
-            f"eigenvalue {la[i]:.6g} of A clashes with eigenvalue "
-            f"{-mu[j]:.6g} of -B"
-        )
-
-    Y = _trsyl(TA, TB, UA.conj().T @ C @ UB)
-    X = UA @ Y @ UB.conj().T
-    return X.real if real_data else X
+    return _sylvester_schur(complex_schur(A), complex_schur(B), C)
 
 
 def solve_lyapunov(A, W):
     """Solve the continuous Lyapunov equation ``A P + P A.T + W = 0``.
 
     ``A`` must be Hurwitz.  For symmetric ``W`` the result is symmetric up
-    to roundoff.  Only one Schur decomposition is taken: with
-    ``A = U T U^H``, the transformed equation is ``T P' + P' T.T + W' = 0``
-    and ``T.T`` is the conjugate transpose of ``conj(T)``, so real and
-    complex ``A`` go through the same triangular solve.
+    to roundoff.
+
+    Notes
+    -----
+    Only one Schur decomposition is taken: with ``A = U T U^H``, ``A.T``
+    is ``conj(U) conj(T)^H conj(U)^H``, so the transformed equation is
+    ``T P' + P' conj(T)^H + W' = 0`` and real and complex ``A`` go
+    through the same triangular solve.  The dual ``A.T Q + Q A + W = 0``
+    takes the same factor with ``ztrsyl``'s transpose flags swapped, so a
+    model's cached factor serves both of its Gramians.
     """
     A = _square(A, "A")
     W = _square(W, "W")
-    n = A.shape[0]
-    if W.shape[0] != n:
-        raise DimensionMismatch(f"W must have shape {(n, n)}, got {W.shape}")
-    if n == 0:
-        return np.zeros((0, 0))
+    if W.shape != A.shape:
+        raise DimensionMismatch(f"W must have shape {A.shape}, got {W.shape}")
     _require_hurwitz(A)
-
-    real_data = not (np.iscomplexobj(A) or np.iscomplexobj(W))
-    T, U = schur(A.astype(complex), output="complex")
-    Pt = _trsyl(T, T.conj(), U.conj().T @ W @ U.conj(), tranb="C")
-    P = U @ Pt @ U.T
-    return P.real if real_data else P
+    return _lyapunov_schur(complex_schur(A), W)
 
 
-def _log_core(M):
-    """Principal log of ``M`` by inverse scaling and squaring on its
-    complex Schur factor."""
-    M = _square(M, "M").astype(complex)
-    n = M.shape[0]
+def _log_core(T):
+    """Principal log of an upper-triangular ``T`` by inverse scaling and
+    squaring; the result is upper triangular."""
+    n = T.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
 
-    T, U = schur(M, output="complex")
     lam = np.diag(T)
     tol = 1e-13 * np.maximum(np.abs(lam), 1.0)
     on_cut = (np.abs(lam) <= tol) | ((lam.real <= 0) & (np.abs(lam.imag) <= tol))
@@ -220,7 +257,12 @@ def _log_core(M):
             L += w * solve_triangular(eye + t * X, X, lower=False)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - scaled out
             raise SingularResolvent(str(exc)) from exc
-    return 2.0 ** k * (U @ L @ U.conj().T)
+    return 2.0 ** k * L
+
+
+def _log(M):
+    T, U, _ = complex_schur(_square(M, "M"))
+    return U @ _log_core(T) @ U.conj().T
 
 
 def matrix_log(M):
@@ -235,7 +277,7 @@ def matrix_log(M):
         If an eigenvalue lies on the closed negative real axis within
         tolerance.
     """
-    return _log_core(M)
+    return _log(M)
 
 
 def frechet_log(M, E):
@@ -256,7 +298,7 @@ def frechet_log(M, E):
     e_norm = np.linalg.norm(E, 1)
     s = np.linalg.norm(M, 1) / e_norm if e_norm else 1.0
     block = np.block([[M, s * E], [np.zeros((n, n)), M]])
-    return _log_core(block)[:n, n:] / s
+    return _log(block)[:n, n:] / s
 
 
 def s_omega(A, omega):
@@ -272,15 +314,7 @@ def s_omega(A, omega):
     _require_hurwitz(A)
     if not np.isfinite(omega) or omega < 0:
         raise ValueError(f"omega must be finite and nonnegative, got {omega}")
-    return _s_omega_checked(A, omega)
-
-
-def _s_omega_checked(A, omega):
-    n = A.shape[0]
-    if omega == 0.0:
-        return np.zeros((n, n))
-    L = matrix_log(-A - 1j * omega * np.eye(n))
-    return np.ascontiguousarray((1j / np.pi * L).real)
+    return _s_band_schur(complex_schur(A), [(0.0, omega)])
 
 
 def s_band(A, band):
@@ -293,24 +327,29 @@ def s_band(A, band):
     """
     A = np.asarray(A, dtype=float)
     _require_hurwitz(A)
-    n = A.shape[0]
+    return _s_band_schur(complex_schur(A), band)
+
+
+def _s_band_schur(f, band):
+    """:func:`s_band` from the Schur factor ``f`` of a real Hurwitz ``A``.
+    ``log(-A - i omega I) = U log(-T - i omega I) U^H``, and ``-T - i omega
+    I`` is already triangular, so each finite endpoint costs one
+    triangular logarithm and the signed sum is transformed back once."""
+    T, U = f.T, f.U
+    n = T.shape[0]
+    eye = np.eye(n)
     S = np.zeros((n, n))
+    L = None
     for lo, hi in band:
-        S += _s_endpoint(A, hi) - _s_endpoint(A, lo)
+        for sign, omega in ((1.0, hi), (-1.0, lo)):
+            if math.isinf(omega):
+                S += sign * 0.5 * eye
+            elif omega > 0:
+                term = sign * _log_core(-T - 1j * float(omega) * eye)
+                L = term if L is None else L + term
+    if L is not None:
+        S += (1j / np.pi * (U @ L @ U.conj().T)).real
     return S
-
-
-def _s_endpoint(A, omega):
-    if np.isinf(omega):
-        return 0.5 * np.eye(A.shape[0])
-    return _s_omega_checked(A, float(omega))
-
-
-def _response_factor(A, B, C):
-    """``(T, U^H B, C U)`` from the complex Schur form ``A = U T U^H``: the
-    factor from which :func:`_tri_response` evaluates the response."""
-    T, U = schur(np.asarray(A, dtype=complex), output="complex")
-    return np.ascontiguousarray(T), U.conj().T @ B, C @ U
 
 
 def _tri_response(T, Bt, Ct, omega):

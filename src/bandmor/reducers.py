@@ -42,11 +42,13 @@ from .freqgram import (
     hinf_w_relative,
     limited_gramians,
 )
-# not called here since evaluate takes both norms from one band side of G,
-# but the benchmark's traced run wraps this module's bindings of them
+# not called here since evaluate takes both norms from one band side of G
+# and the Gramians come from a model's cached Schur factor, but the
+# benchmark's traced run wraps this module's bindings of them
 from .freqgram import error_cost, h2w_norm_sq  # noqa: F401
-from .matfun import hurwitz_status, s_band, solve_lyapunov
-from .ssmodel import StateSpaceModel, as_band
+from .matfun import s_band, solve_lyapunov  # noqa: F401
+from .matfun import _lyapunov_schur, hurwitz_status
+from .ssmodel import FrequencyBand, StateSpaceModel, as_band
 
 __all__ = [
     "OptimizerOptions",
@@ -147,12 +149,12 @@ def _balance_truncate(model, P, Q, r):
 def balanced_truncation(model, r):
     """Classical square-root balanced truncation to order ``r``.
 
-    Uses the standard (unlimited) Gramians; the result is stable and keeps
-    the feedthrough of the input model.
+    Uses the standard (unlimited) Gramians, which are the limited ones of
+    the band [0, inf); the result is stable and keeps the feedthrough of
+    the input model.
     """
-    P = solve_lyapunov(model.A, model.B @ model.B.T)
-    Q = solve_lyapunov(model.A.T, model.C.T @ model.C)
-    return _balance_truncate(model, P, Q, r)
+    side = _BandSide(model, FrequencyBand([(0.0, np.inf)]))
+    return _balance_truncate(model, side.p, side.q, r)
 
 
 def gawronski_reduce(model, r, band):
@@ -175,15 +177,14 @@ def modified_gawronski_reduce(model, r, band):
     right-hand sides are already PSD this coincides with
     :func:`gawronski_reduce`.
     """
-    band = as_band(band)
-    A, B, C = model.A, model.B, model.C
-    S = s_band(A, band)
+    S = _BandSide(model, as_band(band)).s
+    B, C, f = model.B, model.C, model.schur_factor
     BBt = B @ B.T
     CtC = C.T @ C
     Wc = _psd_clip(S @ BBt + BBt @ S.T)
     Wo = _psd_clip(S.T @ CtC + CtC @ S)
-    P = solve_lyapunov(A, Wc)
-    Q = solve_lyapunov(A.T, Wo)
+    P = _lyapunov_schur(f, Wc)
+    Q = _lyapunov_schur(f, Wo, "C")
     return _balance_truncate(model, P, Q, r)
 
 

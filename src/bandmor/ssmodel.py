@@ -19,7 +19,7 @@ from .exceptions import (
     OverlapError,
     ParseError,
 )
-from .matfun import _response_factor, _tri_response, hurwitz_status
+from .matfun import _tri_response, complex_schur, hurwitz_status
 
 __all__ = [
     "StateSpaceModel",
@@ -108,17 +108,26 @@ class StateSpaceModel:
         return hurwitz_status(self.A)
 
     @cached_property
+    def schur_factor(self):
+        """Complex Schur factor ``A = U T U^H`` (a
+        :class:`~bandmor.matfun.SchurFactor`), computed on first use.  The
+        model is immutable, so the factor cannot go stale; Sylvester and
+        Lyapunov solves, band-limiting matrices and the frequency response
+        all take ``A`` through it."""
+        return complex_schur(self.A)
+
+    @cached_property
     def _schur(self):
-        # the model is immutable, so the factor cannot go stale
-        return _response_factor(self.A, self.B, self.C)
+        T, U, _ = self.schur_factor
+        return np.ascontiguousarray(T), U.conj().T @ self.B, self.C @ U
 
     def freq_response(self, omega):
         """Transfer matrix ``C (i omega I - A)^-1 B + D``.
 
         ``omega`` in rad/s is a scalar, giving a ``(p, m)`` matrix, or a 1-d
-        array of F frequencies, giving an ``(F, p, m)`` stack.  ``A`` is
-        reduced to complex Schur form ``U T U^H`` once per model; each
-        frequency then costs a triangular solve with ``i omega I - T``.
+        array of F frequencies, giving an ``(F, p, m)`` stack.  Each
+        frequency costs a triangular solve with ``i omega I - T`` on the
+        model's :attr:`schur_factor`.
 
         Raises
         ------

@@ -15,6 +15,7 @@ from bandmor import (
     solve_sylvester,
 )
 from bandmor.exceptions import BranchCut, NotHurwitz, SpectrumClash
+from bandmor.matfun import _lyapunov_schur, _sylvester_schur, complex_schur
 
 from _oracles import (
     frechet_quadrature,
@@ -127,6 +128,56 @@ class TestSolveLyapunov:
     def test_rejects_unstable(self):
         with pytest.raises(NotHurwitz):
             solve_lyapunov([[1.0]], [[1.0]])
+
+
+class TestTransposedOperands:
+    """``A.T`` taken from ``A``'s one Schur factor through ztrsyl's flags."""
+
+    @staticmethod
+    def resonant(seed, n):
+        # lightly damped modes in random coordinates: far from normal
+        return rand_resonant_model(np.random.default_rng(seed), n, 1, 1).A
+
+    @staticmethod
+    def assert_close(X, ref, rtol):
+        err = np.linalg.norm(X - ref, "fro") / np.linalg.norm(ref, "fro")
+        assert err <= rtol
+
+    def test_sylvester_from_one_factor(self):
+        rng = np.random.default_rng(24)
+        A = self.resonant(23, 30)
+        Ah = rand_hurwitz(rng, 4)
+        F = rng.standard_normal((30, 4))
+        fa, fh = complex_schur(A), complex_schur(Ah)
+        # A.T Y + Y Ah + F = 0 and A X + X Ah.T + F = 0
+        Y = _sylvester_schur(fa, fh, F, trana="C")
+        X = _sylvester_schur(fa, fh, F, tranb="C")
+        assert Y.dtype == X.dtype == np.float64
+        self.assert_close(Y, kron_sylvester(A.T, Ah, F), 1e-8)
+        self.assert_close(X, kron_sylvester(A, Ah.T, F), 1e-8)
+
+    def test_lyapunov_from_one_factor(self):
+        rng = np.random.default_rng(25)
+        A = self.resonant(23, 30)
+        W = rng.standard_normal((30, 30))
+        W = W + W.T
+        f = complex_schur(A)
+        # A.T Q + Q A + W = 0 and A P + P A.T + W = 0
+        Q = _lyapunov_schur(f, W, "C")
+        P = _lyapunov_schur(f, W)
+        self.assert_close(Q, kron_sylvester(A.T, A, W), 1e-8)
+        self.assert_close(P, kron_sylvester(A, A.T, W), 1e-8)
+        np.testing.assert_array_equal(P, solve_lyapunov(A, W))
+
+    def test_spectrum_clash_on_transposed_operand(self):
+        # A.T has eigenvalues 0.5 +- 2i, -Ah has 0.5 -+ 2i
+        rng = np.random.default_rng(26)
+        K = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
+        A = np.linalg.solve(K, np.array([[0.5, 2.0], [-2.0, 0.5]]) @ K)
+        Ah = -np.array([[0.5, 2.0], [-2.0, 0.5]])
+        with pytest.raises(SpectrumClash):
+            _sylvester_schur(complex_schur(A), complex_schur(Ah),
+                             np.ones((2, 2)), trana="C")
 
 
 class TestMatrixLog:

@@ -57,6 +57,20 @@ def test_traced_optimizer_counts(spans):
     assert run["freqgram.workspace_grad_calls"] == 1
 
 
+def test_traced_optimizer_factors_g_once(spans):
+    # every solve, band-limiting matrix and response of the full model goes
+    # through its one cached Schur factor; the reduced models' factors are
+    # r-sized and together stay well below another n^3
+    rng = np.random.default_rng(11)
+    n = 30
+    g = rand_model(rng, n, 1, 1)
+    band = FrequencyBand([(0.0, 1.7)])
+    run = _traced(spans, "h2w_optimize", g, 3, band,
+                  opts=OptimizerOptions(max_iterations=5))
+    assert run["reducers.iterations"] == 5
+    assert n ** 3 <= run["matfun.schur_n3"] < 2 * n ** 3
+
+
 def test_traced_evaluate_factors_each_model_once(spans):
     # the peak search takes each model's response on a whole grid per call
     # from one cached Schur factor; per-point solves would make thousands
@@ -65,7 +79,10 @@ def test_traced_evaluate_factors_each_model_once(spans):
     n, r = 30, 6
     g = rand_model(rng, n, 2, 2)
     band = FrequencyBand([(0.0, 1.7)])
-    ghat = modified_gawronski_reduce(g, r, band)
+    # reduced from a copy of G: the reduction factors its model, and the
+    # first evaluate should be the one to factor G
+    ghat = modified_gawronski_reduce(StateSpaceModel(g.A, g.B, g.C, g.D), r,
+                                     band)
 
     def traced_evaluate(reduced):
         return _traced(spans, "evaluate", g, reduced, band)
