@@ -18,7 +18,6 @@ unstable model (its metrics row is still written, with ``--`` entries).
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -38,7 +37,8 @@ from .reducers import (
     h2w_optimize,
     modified_gawronski_reduce,
 )
-from .ssmodel import FrequencyBand, read_model, write_model
+from .ssmodel import (FrequencyBand, _read_json_object, read_model,
+                      write_model)
 
 __all__ = ["parse_band", "RunConfig", "cmd_reduce", "cmd_analyze", "main"]
 
@@ -103,21 +103,13 @@ class RunConfig:
 
 
 def _read_mask(path, r, m, p):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    missing = [k for k in ("maskA", "maskB", "maskC", "maskD") if k not in payload]
+    payload = _read_json_object(path)
+    names = ("maskA", "maskB", "maskC", "maskD")
+    missing = [k for k in names if k not in payload]
     if missing:
         raise ParseError(f"{path}: missing field '{missing[0]}'")
     try:
-        mask = StructureMask(
-            np.array(payload["maskA"]), np.array(payload["maskB"]),
-            np.array(payload["maskC"]), np.array(payload["maskD"]),
-        )
+        mask = StructureMask(*(np.array(payload[k]) for k in names))
     except (ValueError, BandmorError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     if mask.maskA.shape != (r, r) or mask.maskB.shape != (r, m) \
@@ -228,11 +220,9 @@ def cmd_reduce(config):
 
 
 def _initial_model(model, config):
-    if config.init_policy == "gawronski":
-        return gawronski_reduce(model, config.order, config.band)
-    if config.init_policy == "hankel":
-        return balanced_truncation(model, config.order)
-    return choose_init(model, config.order, config.band)
+    if config.init_policy == "auto":
+        return choose_init(model, config.order, config.band)
+    return _TRUNCATE[config.init_policy](model, config)
 
 
 def cmd_analyze(model_path, band):

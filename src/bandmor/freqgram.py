@@ -95,46 +95,44 @@ class StructureMask:
 class _BandSide:
     """A stable model's quantities on a band, for the full model G and the
     reduced model Ghat alike: the band-limiting matrix ``s`` of its
-    dynamics and, computed on first use, the frequency-limited Gramians
-    ``p`` and ``q``, all from the model's one Schur factor.  An unstable
-    model raises :class:`NotHurwitz`."""
+    dynamics and the frequency-limited Gramians ``p`` and ``q``, all from
+    the model's one Schur factor.  Each is solved on first use and kept,
+    read-only, in the model's cache beside that factor, so one model on one
+    band solves each once.  An unstable model raises :class:`NotHurwitz`."""
 
     def __init__(self, model, band):
         self.model = model
         self.band = band
-        _require_hurwitz(model.A)
-        self.s = _s_band_schur(model.schur_factor, band)
+        self.s = self._cached("s")
 
-    @cached_property
-    def p(self):
-        B, S = self.model.B, self.s
-        BBt = B @ B.T
-        return _sym(_lyapunov_schur(self.model.schur_factor,
-                                    S @ BBt + BBt @ S.T))
+    p = property(lambda self: self._cached("p"))
+    q = property(lambda self: self._cached("q"))
 
-    @cached_property
-    def q(self):
-        C, S = self.model.C, self.s
-        CtC = C.T @ C
-        return _sym(_lyapunov_schur(self.model.schur_factor,
-                                    S.T @ CtC + CtC @ S, "C"))
+    def _cached(self, name):
+        cache = self.model._band_cache
+        key = (self.band, name)
+        if key not in cache:
+            cache[key] = self._solve(name)
+            cache[key].flags.writeable = False
+        return cache[key]
 
-    def norm_sq(self):
-        """The model's squared band-limited H2 measure (:func:`h2w_norm_sq`)."""
-        band = self.band
-        B, C, D = self.model.B, self.model.C, self.model.D
-        has_d = bool(np.any(D))
-        if has_d and not band.is_bounded:
-            raise UnboundedBandWithFeedthrough(
-                "the band-limited H2 measure over an unbounded band requires "
-                "D = 0"
-            )
-        if self.model.nstates == 0:
-            return 2.0 * band.theta * float(np.trace(D @ D.T)) if has_d else 0.0
-        value = float(np.trace(C @ self.p @ C.T))
-        if has_d:
-            value += 2.0 * float(np.trace((C @ self.s @ B + band.theta * D) @ D.T))
-        return value
+    def _solve(self, name):
+        if name == "s":
+            _require_hurwitz(self.model.A)
+            return _s_band_schur(self.model.schur_factor, self.band)
+        trans = "N" if name == "p" else "C"
+        return _sym(_lyapunov_schur(self.model.schur_factor, self.rhs(name),
+                                    trans))
+
+    def rhs(self, name):
+        """Right-hand side ``W`` of the Lyapunov equation of ``p``
+        (``S B B' + B B' S'``) or ``q`` (``S' C' C + C' C S``)."""
+        S = self.s
+        if name == "p":
+            BBt = self.model.B @ self.model.B.T
+            return S @ BBt + BBt @ S.T
+        CtC = self.model.C.T @ self.model.C
+        return S.T @ CtC + CtC @ S
 
 
 def limited_gramians(model, band):
@@ -143,7 +141,7 @@ def limited_gramians(model, band):
     Solves ``A P + P A' + S B B' + B B' S' = 0`` and its dual, where ``S``
     is the band-limiting matrix of ``A`` for ``band``.  For the band
     [0, inf) these reduce to the standard Gramians.  Both results are
-    symmetrized before return.
+    symmetrized, computed once per model and band, and returned read-only.
     """
     side = _BandSide(model, as_band(band))
     return side.p, side.q
@@ -154,9 +152,24 @@ def h2w_norm_sq(model, band):
 
     Equal to ``(1/2pi) * integral over the two-sided band of
     trace(G(i nu) G(i nu)^H)``.  With a bounded band the model may have a
-    feedthrough term; a band reaching infinity requires ``D = 0``.
+    feedthrough term; a band reaching infinity requires ``D = 0``.  The
+    band-limiting matrix and Gramian it takes are the model's cached ones
+    (see :func:`limited_gramians`).
     """
-    return _BandSide(model, as_band(band)).norm_sq()
+    side = _BandSide(model, as_band(band))
+    band, B, C, D = side.band, model.B, model.C, model.D
+    has_d = bool(np.any(D))
+    if has_d and not band.is_bounded:
+        raise UnboundedBandWithFeedthrough(
+            "the band-limited H2 measure over an unbounded band requires "
+            "D = 0"
+        )
+    if model.nstates == 0:
+        return 2.0 * band.theta * float(np.trace(D @ D.T)) if has_d else 0.0
+    value = float(np.trace(C @ side.p @ C.T))
+    if has_d:
+        value += 2.0 * float(np.trace((C @ side.s @ B + band.theta * D) @ D.T))
+    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,15 +291,6 @@ def error_cost(g, ghat, band, drop_constant=False, form="B"):
     """
     ws = _build_workspace(_BandSide(g, as_band(band)), ghat)
     return _cost_from_workspace(ws, drop_constant, form)
-
-
-def _error_and_norm_sq(g, ghat, band):
-    """``(error_cost(g, ghat, band), h2w_norm_sq(g, band))`` from one band
-    side of G.  As in those two functions the cost takes G's Gramian ``q``
-    and the norm its Gramian ``p``, so the values are the same."""
-    gside = _BandSide(g, band)
-    ws = _build_workspace(gside, ghat)
-    return _cost_from_workspace(ws, False, "B"), gside.norm_sq()
 
 
 def _cost_from_workspace(ws, drop_constant, form):

@@ -310,11 +310,9 @@ def s_omega(A, omega):
     tends to ``I/2`` as ``omega -> inf``, where the frequency-limited
     Lyapunov right-hand side collapses to the standard one.
     """
-    A = np.asarray(A, dtype=float)
-    _require_hurwitz(A)
     if not np.isfinite(omega) or omega < 0:
         raise ValueError(f"omega must be finite and nonnegative, got {omega}")
-    return _s_band_schur(complex_schur(A), [(0.0, omega)])
+    return s_band(A, [(0.0, omega)])
 
 
 def s_band(A, band):
@@ -387,6 +385,8 @@ def _tri_response(T, Bt, Ct, omega):
             raise np.linalg.LinAlgError(f"ztrtrs: info = {info}")
         return Ct @ Z
 
+    # the substitution reads T by rows: a C-ordered copy for this call
+    T = np.ascontiguousarray(T)
     n, m, p = T.shape[0], Bt.shape[1], Ct.shape[0]
     out = np.empty((omega.size, p, m), dtype=complex)
     for start in range(0, omega.size, _RESPONSE_BLOCK):

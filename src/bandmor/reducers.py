@@ -37,15 +37,14 @@ from .freqgram import (
     _BandSide,
     _build_workspace,
     _cost_from_workspace,
-    _error_and_norm_sq,
     _gradient_from_workspace,
+    error_cost,
+    h2w_norm_sq,
     hinf_w_relative,
     limited_gramians,
 )
-# not called here since evaluate takes both norms from one band side of G
-# and the Gramians come from a model's cached Schur factor, but the
-# benchmark's traced run wraps this module's bindings of them
-from .freqgram import error_cost, h2w_norm_sq  # noqa: F401
+# not called here since the Gramians come from a model's cached Schur
+# factor, but the benchmark's traced run wraps this module's bindings of them
 from .matfun import s_band, solve_lyapunov  # noqa: F401
 from .matfun import _lyapunov_schur, hurwitz_status
 from .ssmodel import FrequencyBand, StateSpaceModel, as_band
@@ -177,14 +176,9 @@ def modified_gawronski_reduce(model, r, band):
     right-hand sides are already PSD this coincides with
     :func:`gawronski_reduce`.
     """
-    S = _BandSide(model, as_band(band)).s
-    B, C, f = model.B, model.C, model.schur_factor
-    BBt = B @ B.T
-    CtC = C.T @ C
-    Wc = _psd_clip(S @ BBt + BBt @ S.T)
-    Wo = _psd_clip(S.T @ CtC + CtC @ S)
-    P = _lyapunov_schur(f, Wc)
-    Q = _lyapunov_schur(f, Wo, "C")
+    side, f = _BandSide(model, as_band(band)), model.schur_factor
+    P = _lyapunov_schur(f, _psd_clip(side.rhs("p")))
+    Q = _lyapunov_schur(f, _psd_clip(side.rhs("q")), "C")
     return _balance_truncate(model, P, Q, r)
 
 
@@ -379,8 +373,8 @@ def evaluate(g, ghat, band, method=""):
     report = ReductionReport(method=method, stable=stable, max_real_eig=max_re)
     if not stable:
         return report
-    err_sq, ref_sq = _error_and_norm_sq(g, ghat, band)
-    err_sq, ref_sq = max(err_sq, 0.0), max(ref_sq, 0.0)
+    err_sq = max(error_cost(g, ghat, band), 0.0)
+    ref_sq = max(h2w_norm_sq(g, band), 0.0)
     report.h2w_error = float(np.sqrt(err_sq))
     if ref_sq > 0.0:
         report.h2w_relative = report.h2w_error / float(np.sqrt(ref_sq))

@@ -117,9 +117,15 @@ class StateSpaceModel:
         return complex_schur(self.A)
 
     @cached_property
+    def _band_cache(self):
+        """``(band, name) -> array``, filled by ``freqgram._BandSide``;
+        arrays only, so the model never refers back to itself."""
+        return {}
+
+    @cached_property
     def _schur(self):
         T, U, _ = self.schur_factor
-        return np.ascontiguousarray(T), U.conj().T @ self.B, self.C @ U
+        return T, U.conj().T @ self.B, self.C @ U
 
     def freq_response(self, omega):
         """Transfer matrix ``C (i omega I - A)^-1 B + D``.
@@ -221,15 +227,7 @@ def read_model(path):
     rectangular nested arrays of numbers; an optional ``labels`` entry is
     tolerated and ignored.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: expected a JSON object at top level")
+    payload = _read_json_object(path)
     mats = {}
     for name in _MODEL_FIELDS:
         if name not in payload:
@@ -247,6 +245,20 @@ def read_model(path):
         return StateSpaceModel(**mats)
     except (DimensionMismatch, NonFinite) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _read_json_object(path):
+    """The JSON object in the file ``path``, else :class:`ParseError`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object at top level")
+    return payload
 
 
 def _parse_matrix_field(rows, name, path):

@@ -173,6 +173,20 @@ class TestReduce:
         assert code == 1
         assert "maskB" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [5, [1, 2]], ids=["number", "array"])
+    def test_mask_not_an_object_exits_one(self, tmp_path, capsys, payload):
+        mask_path = tmp_path / "mask.json"
+        mask_path.write_text(json.dumps(payload))
+        code = main([
+            "reduce", "--model", str(MODEL), "--order", "2",
+            "--band", "0:1.7", "--methods", "proposed",
+            "--mask", str(mask_path), "--out-dir", str(tmp_path),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "expected a JSON object" in err
+
     def test_metrics_deterministic(self, tmp_path):
         outs = []
         for tag in ("a", "b"):

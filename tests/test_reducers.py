@@ -1,6 +1,9 @@
 """Reduction methods: truncations, the optimizer, and report assembly."""
 
+import gc
 import warnings
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from bandmor import (
     h2w_optimize,
     modified_gawronski_reduce,
 )
+from bandmor import freqgram
 from bandmor.exceptions import NotHurwitz, UnstableInit
 from bandmor.matfun import hurwitz_status
 
@@ -310,3 +314,63 @@ class TestEvaluate:
             max(error_cost(g, StateSpaceModel.pure_gain([[0.0]]), BAND17), 0.0)
         )
         assert rep.h2w_relative == pytest.approx(want, rel=1e-9)
+
+
+class TestOneBandSidePerModel:
+    """The full model's band-limiting matrix and Gramians are computed once
+    per model and band, however many reducers and evaluations use them."""
+
+    N = 40
+
+    @pytest.fixture
+    def full_s_bands(self, monkeypatch):
+        # bands of the n-sized band-limiting matrices computed
+        bands = []
+        compute = freqgram._s_band_schur
+
+        def recorded(f, band):
+            if f.T.shape[0] == self.N:
+                bands.append(band)
+            return compute(f, band)
+
+        monkeypatch.setattr(freqgram, "_s_band_schur", recorded)
+        return bands
+
+    def test_proposed_run(self, full_s_bands):
+        g = rand_model(np.random.default_rng(40), self.N, 1, 1)
+        init = choose_init(g, 4, BAND17)
+        ghat, report = h2w_optimize(g, 4, BAND17, init=init,
+                                    opts=OptimizerOptions(max_iterations=3))
+        assert report.iterations == 3
+        evaluate(g, ghat, BAND17)
+        assert full_s_bands == [BAND17]
+
+    def test_truncations(self, full_s_bands):
+        g = rand_model(np.random.default_rng(41), self.N, 2, 2)
+        for ghat in (balanced_truncation(g, 6), gawronski_reduce(g, 6, BAND17),
+                     modified_gawronski_reduce(g, 6, BAND17)):
+            evaluate(g, ghat, BAND17)
+        assert Counter(full_s_bands) == {BAND17: 1, FULL: 1}
+
+    def test_cached_gramians_are_read_only(self):
+        # a caller writing into a returned Gramian would corrupt every later
+        # use of the model on that band
+        g = rand_model(np.random.default_rng(43), 6, 1, 1)
+        P, Q = freqgram.limited_gramians(g, BAND17)
+        with pytest.raises(ValueError):
+            P[0, 0] = 0.0
+        assert freqgram.limited_gramians(g, BAND17)[1] is Q
+
+    def test_cache_keeps_model_collectable(self):
+        # the cache holds arrays only: dropping the model frees it without
+        # a garbage-collection pass
+        g = rand_model(np.random.default_rng(42), 20, 1, 1)
+        ghat = modified_gawronski_reduce(g, 4, BAND17)
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            evaluate(g, ghat, BAND17)
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()

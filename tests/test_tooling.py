@@ -1,5 +1,6 @@
 """Guards for the tooling around the package."""
 
+import ast
 import sys
 
 import numpy as np
@@ -28,6 +29,23 @@ def test_traced_bindings_resolve(spans):
     for name, sites in spans.SPANS:
         for owner, attr in sites:
             assert callable(getattr(owner, attr, None)), (name, attr)
+
+
+def test_tracer_only_imports_are_traced(spans):
+    # an import that nothing calls is kept only for the tracer to wrap; once
+    # the tracer stops wrapping it, the import has to go
+    traced = {(owner.__name__, attr) for _, sites in spans.SPANS
+              for owner, attr in sites}
+    for path in sorted((REPO_ROOT / "src" / "bandmor").glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        lines = source.splitlines()
+        module = f"bandmor.{path.stem}"
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and "noqa: F401" in " ".join(
+                    lines[node.lineno - 1:node.end_lineno]):
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    assert (module, name) in traced, (path.name, name)
 
 
 def _traced(spans, function, *args, **kwargs):
@@ -89,6 +107,9 @@ def test_traced_evaluate_factors_each_model_once(spans):
 
     first = traced_evaluate(ghat)
     assert 100 <= first["ssmodel.freq_response_calls"] < 1000
+    # both norms go through the bindings the tracer wraps
+    assert first["freqgram.error_cost_s"] > 0
+    assert first["freqgram.h2w_norm_s"] > 0
     # the same matrices in a new model: only Ghat is factored again
     fresh = StateSpaceModel(ghat.A, ghat.B, ghat.C, ghat.D)
     second = traced_evaluate(fresh)
