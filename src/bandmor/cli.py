@@ -229,17 +229,14 @@ def cmd_analyze(model_path, band):
     """Print band norm, standard H2 norm (when strictly proper), worst
     eigenvalue, and band measure for one model."""
     model = read_model(model_path)
-    if model.nstates:
-        stable, max_re = model.is_hurwitz()
-        if not stable:
-            print(
-                f"error: model is unstable (max real eigenvalue {max_re:.5e});"
-                " band norms are undefined",
-                file=sys.stderr,
-            )
-            return 1
-    else:
-        max_re = -math.inf
+    stable, max_re = model.is_hurwitz()
+    if not stable:
+        print(
+            f"error: model is unstable (max real eigenvalue {max_re:.5e});"
+            " band norms are undefined",
+            file=sys.stderr,
+        )
+        return 1
     h2w = math.sqrt(max(h2w_norm_sq(model, band), 0.0))
     print(f"h2w_norm = {_fmt(h2w)}")
     if not np.any(model.D) and model.nstates:

@@ -92,13 +92,19 @@ class StructureMask:
         )
 
 
+# Bands per model whose quantities stay cached; one ``bandmor reduce`` run
+# uses two on the full model, its band and [0, inf)
+_CACHED_BANDS = 4
+
+
 class _BandSide:
     """A stable model's quantities on a band, for the full model G and the
     reduced model Ghat alike: the band-limiting matrix ``s`` of its
     dynamics and the frequency-limited Gramians ``p`` and ``q``, all from
     the model's one Schur factor.  Each is solved on first use and kept,
     read-only, in the model's cache beside that factor, so one model on one
-    band solves each once.  An unstable model raises :class:`NotHurwitz`."""
+    band solves each once while the band is among its ``_CACHED_BANDS``
+    most recently used.  An unstable model raises :class:`NotHurwitz`."""
 
     def __init__(self, model, band):
         self.model = model
@@ -110,15 +116,18 @@ class _BandSide:
 
     def _cached(self, name):
         cache = self.model._band_cache
-        key = (self.band, name)
-        if key not in cache:
-            cache[key] = self._solve(name)
-            cache[key].flags.writeable = False
-        return cache[key]
+        entry = cache.pop(self.band, {})
+        if name not in entry:
+            entry[name] = self._solve(name)
+            entry[name].flags.writeable = False
+        cache[self.band] = entry
+        if len(cache) > _CACHED_BANDS:
+            del cache[next(iter(cache))]
+        return entry[name]
 
     def _solve(self, name):
         if name == "s":
-            _require_hurwitz(self.model.A)
+            _require_hurwitz(self.model.is_hurwitz())
             return _s_band_schur(self.model.schur_factor, self.band)
         trans = "N" if name == "p" else "C"
         return _sym(_lyapunov_schur(self.model.schur_factor, self.rhs(name),
@@ -371,19 +380,17 @@ def _band_grid(band, points, models):
     """Per-interval frequency grids of ``points`` points each: log-spaced
     when the interval starts above zero, linear from zero otherwise.  An
     interval reaching infinity is capped at ``1e4`` times the largest
-    spectral radius of ``models`` (at least 1)."""
-    rho = 1.0
-    for model in models:
-        if model.nstates:
-            rho = max(rho, float(np.abs(np.linalg.eigvals(model.A)).max()))
-    cap = 1e4 * rho
+    spectral radius of ``models`` (at least 1), computed only then."""
     grids = []
     for lo, hi in band:
-        hi_eff = cap if math.isinf(hi) else hi
+        if math.isinf(hi):
+            hi = 1e4 * max([1.0] + [
+                float(np.abs(np.linalg.eigvals(model.A)).max())
+                for model in models if model.nstates])
         if lo > 0.0:
-            grids.append(np.geomspace(lo, hi_eff, points))
+            grids.append(np.geomspace(lo, hi, points))
         else:
-            grids.append(np.linspace(0.0, hi_eff, points))
+            grids.append(np.linspace(0.0, hi, points))
     return grids
 
 
@@ -404,21 +411,21 @@ def _golden_max(fun, a, b, iters=80):
     return max(f1, f2)
 
 
-def _grid_max(response, grids):
-    """Largest singular value of ``response(omega)`` over the grids: one
-    batched evaluation per grid, then golden section around its maximizer."""
-    def sigma_max(omega):
-        return np.linalg.svd(response(omega), compute_uv=False)[..., 0]
+def _grid_max(response, grid, values):
+    """Largest singular value of ``response(omega)`` on one grid, given its
+    ``values`` there: the grid maximum, refined by golden section around
+    its maximizer with one scalar ``response`` call per point."""
+    def sigma_max(H):
+        return np.linalg.svd(H, compute_uv=False)[..., 0]
 
-    best = -np.inf
-    for grid in grids:
-        vals = sigma_max(grid)
-        k = int(np.argmax(vals))
-        best = max(best, float(vals[k]))
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, len(grid) - 1)]
-        if b > a:
-            best = max(best, _golden_max(lambda w: float(sigma_max(w)), a, b))
+    vals = sigma_max(values)
+    k = int(np.argmax(vals))
+    best = float(vals[k])
+    a = grid[max(k - 1, 0)]
+    b = grid[min(k + 1, len(grid) - 1)]
+    if b > a:
+        best = max(best, _golden_max(lambda w: float(sigma_max(response(w))),
+                                     a, b))
     return best
 
 
@@ -430,17 +437,21 @@ def hinf_w_relative(g, ghat, band, grid_density=2000):
     from zero otherwise), refines around the grid maximizer by golden
     section, and divides by the same quantity for ``G`` alone.  Intervals
     reaching infinity are capped at a multiple of the models' spectral
-    radii.  The error's response is the difference of the two models'
-    responses, each evaluated on the whole grid at once from the model's
-    cached Schur factor.
+    radii.  Each model's response is evaluated once per interval on the
+    whole grid from its cached Schur factor; ``G``'s serves both the error
+    and the denominator.
     """
     band = as_band(band)
     if len(band) == 0 or band.measure == 0.0:
         raise EmptyBand("the band contains no interval of positive length")
     _check_dims(g, ghat)
-    grids = _band_grid(band, int(grid_density), (g, ghat))
-    num = _grid_max(lambda w: g.freq_response(w) - ghat.freq_response(w), grids)
-    den = _grid_max(g.freq_response, grids)
+    num = den = -math.inf
+    for grid in _band_grid(band, int(grid_density), (g, ghat)):
+        g_grid = g.freq_response(grid)
+        num = max(num, _grid_max(
+            lambda w: g.freq_response(w) - ghat.freq_response(w), grid,
+            g_grid - ghat.freq_response(grid)))
+        den = max(den, _grid_max(g.freq_response, grid, g_grid))
     if den == 0.0:
         return 0.0 if num == 0.0 else math.inf
     return num / den

@@ -95,10 +95,10 @@ def hurwitz_status(A):
     return max_re < -_HURWITZ_RTOL * (1.0 + rho), max_re
 
 
-def _require_hurwitz(A, what="A"):
-    ok, max_re = hurwitz_status(A)
+def _require_hurwitz(status):
+    ok, max_re = status  # from hurwitz_status
     if not ok:
-        raise NotHurwitz(f"{what} is not Hurwitz (max real eigenvalue {max_re:.3e})")
+        raise NotHurwitz(f"A is not Hurwitz (max real eigenvalue {max_re:.3e})")
 
 
 class SchurFactor(NamedTuple):
@@ -218,7 +218,7 @@ def solve_lyapunov(A, W):
     W = _square(W, "W")
     if W.shape != A.shape:
         raise DimensionMismatch(f"W must have shape {A.shape}, got {W.shape}")
-    _require_hurwitz(A)
+    _require_hurwitz(hurwitz_status(A))
     return _lyapunov_schur(complex_schur(A), W)
 
 
@@ -324,7 +324,7 @@ def s_band(A, band):
     ``I/2``.
     """
     A = np.asarray(A, dtype=float)
-    _require_hurwitz(A)
+    _require_hurwitz(hurwitz_status(A))
     return _s_band_schur(complex_schur(A), band)
 
 
@@ -378,9 +378,10 @@ def _tri_response(T, Bt, Ct, omega):
         return d
 
     if omega.ndim == 0:
-        M = -T
-        np.fill_diagonal(M, shifted(omega))
-        Z, info = ztrtrs(M, Bt)
+        # (T - i omega I) Z = -Bt: the same Z, as negation is exact
+        M = T.copy(order="F")
+        np.fill_diagonal(M, -shifted(omega))
+        Z, info = ztrtrs(M, -Bt)
         if info != 0:
             raise np.linalg.LinAlgError(f"ztrtrs: info = {info}")
         return Ct @ Z

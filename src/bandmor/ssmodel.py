@@ -102,10 +102,11 @@ class StateSpaceModel:
         return self.C.shape[0]
 
     def is_hurwitz(self):
-        """Return ``(stable, max_real_eig)``; requires at least one state."""
-        if self.nstates == 0:
-            raise DimensionMismatch("a pure-gain model has no eigenvalues")
-        return hurwitz_status(self.A)
+        """Return ``(stable, max_real_eig)`` from :func:`hurwitz_status`,
+        tested once per model; ``(True, -inf)`` for a pure gain."""
+        return self._hurwitz
+
+    _hurwitz = cached_property(lambda self: hurwitz_status(self.A))
 
     @cached_property
     def schur_factor(self):
@@ -118,8 +119,9 @@ class StateSpaceModel:
 
     @cached_property
     def _band_cache(self):
-        """``(band, name) -> array``, filled by ``freqgram._BandSide``;
-        arrays only, so the model never refers back to itself."""
+        """``band -> {name: array}``, least recently used band first; filled
+        and bounded by ``freqgram._BandSide``, which reinserts a band on
+        every use.  Arrays only, so the model never refers back to itself."""
         return {}
 
     @cached_property

@@ -9,6 +9,7 @@ quadrature of the Frechet integral.
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
+from scipy.optimize import minimize_scalar
 from scipy.special import roots_legendre
 
 from bandmor import StateSpaceModel, error_cost
@@ -130,6 +131,29 @@ def s_omega_quadrature(A, omega, tol=1e-11):
 
     val, _ = quad_vec(integrand, -omega, omega, epsabs=tol, epsrel=tol)
     return val / (2.0 * np.pi)
+
+
+def solve_response(model, omega):
+    """``C (i omega I - A)^-1 B + D`` by dense LU solves on ``A``, for a
+    scalar ``omega`` or a 1-d array of them."""
+    M = 1j * np.asarray(omega, dtype=float)[..., None, None] * np.eye(
+        model.nstates) - model.A
+    rhs = np.broadcast_to(model.B, M.shape[:-1] + model.B.shape[-1:])
+    return model.C @ np.linalg.solve(M, rhs) + model.D
+
+
+def peak_gain_dense(sigma, lo, hi, points=4001):
+    """Maximum over [lo, hi] of ``sigma``, which maps a 1-d array of
+    frequencies to values: a dense linear grid, its maximizer refined by
+    bounded scalar minimization between the neighbouring grid points."""
+    grid = np.linspace(lo, hi, points)
+    vals = sigma(grid)
+    k = int(np.argmax(vals))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)]
+    res = minimize_scalar(lambda w: -float(sigma(np.array([w]))[0]),
+                          bounds=(a, b), method="bounded",
+                          options={"xatol": 1e-12})
+    return max(float(vals[k]), -res.fun)
 
 
 def fd_cost_gradient(g, ghat, band, step=1e-6):

@@ -16,6 +16,7 @@ from bandmor import (
     hinf_w_relative,
     limited_gramians,
 )
+from bandmor import freqgram
 from bandmor.exceptions import (
     EmptyBand,
     NotHurwitz,
@@ -26,7 +27,9 @@ from _oracles import (
     fd_cost_gradient,
     gramian_quadrature,
     h2w_quadrature,
+    peak_gain_dense,
     rand_model,
+    solve_response,
 )
 
 FULL = FrequencyBand([(0.0, np.inf)])
@@ -275,3 +278,86 @@ class TestHinfRelative:
         want = err.max() / ref.max()
         got = hinf_w_relative(g, gh, band, grid_density=500)
         assert got == pytest.approx(want, rel=1e-6)
+
+    def test_one_grid_response_of_g_per_interval(self, monkeypatch):
+        # G's grid response serves both the error and the denominator; the
+        # golden-section points stay scalar calls
+        rng = np.random.default_rng(42)
+        g = rand_model(rng, 8, 2, 2)
+        gh = rand_model(rng, 3, 2, 2)
+        calls = []
+        respond = StateSpaceModel.freq_response
+
+        def counted(model, omega):
+            calls.append((model, np.ndim(omega)))
+            return respond(model, omega)
+
+        monkeypatch.setattr(StateSpaceModel, "freq_response", counted)
+        for band, intervals in ((FrequencyBand([(0.0, 1.7)]), 1),
+                                (FrequencyBand([(0.0, 1.7), (3.0, 4.0)]), 2)):
+            calls.clear()
+            hinf_w_relative(g, gh, band)
+            for model in (g, gh):
+                assert calls.count((model, 1)) == intervals
+            # golden section: 82 points per interval for the error, which
+            # takes both models, and 82 for G alone
+            assert calls.count((g, 0)) == 2 * 82 * intervals
+            assert calls.count((gh, 0)) == 82 * intervals
+            assert len(calls) == 248 * intervals
+
+    def test_band_grid_scans_spectra_only_for_unbounded(self, monkeypatch):
+        B, C, D = [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]
+        slow = StateSpaceModel(np.diag([-0.2, -0.5]), B, C, D)
+        fast = StateSpaceModel([[-2.0, 30.0], [-30.0, -2.0]], B, C, D)
+        scans = []
+        eigvals = np.linalg.eigvals
+
+        def counted(A):
+            scans.append(A)
+            return eigvals(A)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        bounded = FrequencyBand([(0.0, 1.7), (3.0, 4.0)])
+        grids = freqgram._band_grid(bounded, 50, (slow, fast))
+        assert scans == []
+        assert [(w[0], w[-1]) for w in grids] == [(0.0, 1.7), (3.0, 4.0)]
+        # capped at 1e4 max(1, rho): the radius of +-30i - 2, or 1
+        unbounded = FrequencyBand([(0.0, 1.0), (2.0, np.inf)])
+        for models, cap in (((slow, fast), 1e4 * np.hypot(2.0, 30.0)),
+                            ((slow,), 1e4)):
+            grids = freqgram._band_grid(unbounded, 50, models)
+            assert grids[0][-1] == 1.0
+            assert grids[1][0] == 2.0
+            assert grids[1][-1] == pytest.approx(cap, rel=1e-12)
+        assert len(scans) == 3
+
+    def test_two_interval_peak_with_feedthrough(self):
+        # against a dense search on LU responses of both models.  G has a
+        # sharp resonance in each interval and Ghat keeps the first, so the
+        # error peaks inside the second interval and G's own peak inside
+        # the first, both between grid points
+        rng = np.random.default_rng(44)
+        blocks = [np.array([[0.0, w], [-w, -0.02 * w]]) for w in (1.0, 3.2)]
+        lam = np.zeros((5, 5))
+        lam[:2, :2], lam[2:4, 2:4], lam[4, 4] = blocks[0], blocks[1], -0.7
+        T = np.eye(5) + 0.3 * rng.standard_normal((5, 5))
+        Bm = rng.standard_normal((5, 2))
+        Bm[:2] *= 3.0
+        Cm, D = rng.standard_normal((2, 5)), rng.standard_normal((2, 2))
+        g = StateSpaceModel(T @ lam @ np.linalg.inv(T), T @ Bm,
+                            Cm @ np.linalg.inv(T), D)
+        gh = StateSpaceModel(blocks[0], Bm[:2], Cm[:, :2], D)
+        band = FrequencyBand([(0.2, 1.5), (2.5, 4.0)])
+
+        def num(w):
+            H = solve_response(g, w) - solve_response(gh, w)
+            return np.linalg.svd(H, compute_uv=False)[:, 0]
+
+        def den(w):
+            return np.linalg.svd(solve_response(g, w), compute_uv=False)[:, 0]
+
+        (n1, n2), (d1, d2) = [[peak_gain_dense(f, lo, hi) for lo, hi in band]
+                              for f in (num, den)]
+        assert n2 > 2 * n1 and d1 > d2
+        want = max(n1, n2) / max(d1, d2)
+        assert hinf_w_relative(g, gh, band) == pytest.approx(want, rel=1e-6)

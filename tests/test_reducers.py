@@ -22,8 +22,9 @@ from bandmor import (
     h2w_optimize,
     modified_gawronski_reduce,
 )
-from bandmor import freqgram
-from bandmor.exceptions import NotHurwitz, UnstableInit
+from bandmor import freqgram, matfun, reducers, ssmodel
+from bandmor.exceptions import (NotHurwitz, UnboundedBandWithFeedthrough,
+                                UnstableInit)
 from bandmor.matfun import hurwitz_status
 
 from _oracles import rand_model, rand_resonant_model, two_mode_model
@@ -266,6 +267,19 @@ class TestOptimize:
         np.testing.assert_array_equal(gh.D, g.D)
         assert rep.stable
 
+    def test_unbounded_band_rejects_feedthrough_error(self):
+        # the band sides and the gradient enforce Dhat = D on an unbounded
+        # band, for a free Dhat and for an init that carries another one
+        rng = np.random.default_rng(61)
+        g = rand_model(rng, 4, 1, 1)
+        init = balanced_truncation(g, 2)
+        with pytest.raises(UnboundedBandWithFeedthrough):
+            h2w_optimize(g, 2, FULL, init=init,
+                         mask=StructureMask.full(2, 1, 1, free_d=True))
+        shifted = StateSpaceModel(init.A, init.B, init.C, init.D + 1.0)
+        with pytest.raises(UnboundedBandWithFeedthrough):
+            h2w_optimize(g, 2, FULL, init=shifted)
+
     @pytest.mark.parametrize("band, free_d", [(BAND17, True), (FULL, False)])
     def test_last_callback_matches_fresh_evaluation(self, band, free_d):
         # the optimizer reuses each accepted trial's workspace for the
@@ -361,6 +375,28 @@ class TestOneBandSidePerModel:
             P[0, 0] = 0.0
         assert freqgram.limited_gramians(g, BAND17)[1] is Q
 
+    def test_cache_keeps_recent_bands_only(self):
+        # 50 bands on one model keep the most recently used few; an evicted
+        # band is solved again on demand and comes out bitwise equal
+        g = rand_model(np.random.default_rng(44), 8, 1, 1)
+        bands = [FrequencyBand([(0.0, 0.1 * (k + 1))]) for k in range(50)]
+        first = freqgram.limited_gramians(g, bands[0])
+        s_first = freqgram._BandSide(g, bands[0]).s
+        hot = FrequencyBand([(0.0, 100.0)])
+        p_hot = freqgram.limited_gramians(g, hot)[0]
+        for band in bands[1:]:
+            freqgram.limited_gramians(g, band)
+            assert len(g._band_cache) <= freqgram._CACHED_BANDS
+            assert freqgram.limited_gramians(g, hot)[0] is p_hot
+        assert bands[0] not in g._band_cache
+        again = freqgram.limited_gramians(g, bands[0])
+        assert again[0] is not first[0]
+        for old, new in zip(first, again):
+            np.testing.assert_array_equal(old, new)
+        np.testing.assert_array_equal(freqgram._BandSide(g, bands[0]).s,
+                                      s_first)
+        assert list(g._band_cache)[-1] == bands[0]
+
     def test_cache_keeps_model_collectable(self):
         # the cache holds arrays only: dropping the model frees it without
         # a garbage-collection pass
@@ -374,3 +410,27 @@ class TestOneBandSidePerModel:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def test_one_hurwitz_test_per_model(monkeypatch):
+    # the optimizer's trial check, the band sides and evaluate read one
+    # cached test per model, so no matrix is tested twice
+    tested = []
+    status = matfun.hurwitz_status
+
+    def counted(A):
+        tested.append(A)  # keeps A alive, so ids stay distinct
+        return status(A)
+
+    for module in (matfun, ssmodel, freqgram, reducers):
+        monkeypatch.setattr(module, "hurwitz_status", counted)
+    g = rand_model(np.random.default_rng(45), 12, 1, 1)
+    ghat, report = h2w_optimize(g, 3, BAND17,
+                                opts=OptimizerOptions(max_iterations=3))
+    assert report.iterations == 3
+    evaluate(g, ghat, BAND17)
+    ids = [id(A) for A in tested]
+    assert len(ids) == len(set(ids))
+    # G, the init and at least one trial per iteration
+    assert len(ids) >= 2 + 3
+    assert id(g.A) in ids and id(ghat.A) in ids

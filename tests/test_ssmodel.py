@@ -20,7 +20,8 @@ from bandmor.exceptions import (
 )
 
 from conftest import REPO_ROOT
-from _oracles import rand_model, rand_resonant_model, two_mode_model
+from _oracles import (rand_model, rand_resonant_model, solve_response,
+                      two_mode_model)
 
 
 class TestValidation:
@@ -55,6 +56,9 @@ class TestValidation:
             [[0.0, 1.0], [-1.0, 0.0]], np.ones((2, 1)), np.ones((1, 2)), [[0.0]]
         ).is_hurwitz()
         assert not stable and eig == pytest.approx(0.0, abs=1e-12)
+        # a pure gain has no poles: stable, as for hurwitz_status
+        assert StateSpaceModel.pure_gain([[1.0]]).is_hurwitz() == (
+            True, -np.inf)
 
 
 class TestSeries:
@@ -153,6 +157,17 @@ class TestFreqResponse:
         ref = np.array([g.C @ np.linalg.solve(1j * w * eye - g.A, g.B) + g.D
                         for w in grid])
         np.testing.assert_allclose(g.freq_response(grid), ref, rtol=1e-8)
+
+    def test_scalar_matches_direct_solve(self):
+        # non-normal dynamics with complex poles and a feedthrough: the
+        # scalar triangular solve against a dense LU solve on A
+        rng = np.random.default_rng(41)
+        g = rand_resonant_model(rng, 12, 2, 3)
+        g = StateSpaceModel(g.A, g.B, g.C, rng.standard_normal((3, 2)))
+        assert np.iscomplexobj(g.schur_factor.T)
+        for w in (0.0, 0.37, 1.9, 25.0):
+            np.testing.assert_allclose(g.freq_response(w),
+                                       solve_response(g, w), rtol=1e-9)
 
     def test_pure_gain_array_shape(self):
         m = StateSpaceModel.pure_gain([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
