@@ -19,8 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DimensionMismatch, EmptyBand, UnboundedBandWithFeedthrough
-from .matfun import (_lyapunov_schur, _require_hurwitz, _s_band_schur,
-                     _sylvester_schur, frechet_log)
+from .matfun import (_finite_endpoints, _lyapunov_schur, _require_hurwitz,
+                     _s_band_schur, _sylvester_schur, frechet_log)
 # not called here since every solve takes a model's cached Schur factor,
 # but the benchmark's traced run wraps this module's bindings of them
 from .matfun import hurwitz_status, s_band  # noqa: F401
@@ -173,8 +173,6 @@ def h2w_norm_sq(model, band):
             "the band-limited H2 measure over an unbounded band requires "
             "D = 0"
         )
-    if model.nstates == 0:
-        return 2.0 * band.theta * float(np.trace(D @ D.T)) if has_d else 0.0
     value = float(np.trace(C @ side.p @ C.T))
     if has_d:
         value += 2.0 * float(np.trace((C @ side.s @ B + band.theta * D) @ D.T))
@@ -250,17 +248,6 @@ def _build_workspace(gside, ghat, need_gradient=False):
     if need_gradient:
         ws.gradient_solves
     return ws
-
-
-def _finite_endpoints(band):
-    """Signed finite nonzero endpoints of the band decomposition; the
-    contributions of 0 (zero matrix) and inf (constant I/2) drop out of
-    the derivative."""
-    for lo, hi in band:
-        if math.isfinite(hi) and hi > 0:
-            yield 1.0, hi
-        if lo > 0:
-            yield -1.0, lo
 
 
 def _d_inner(ws):
@@ -379,14 +366,16 @@ def error_cost_and_gradient(g, ghat, band, mask=None, drop_constant=True,
 def _band_grid(band, points, models):
     """Per-interval frequency grids of ``points`` points each: log-spaced
     when the interval starts above zero, linear from zero otherwise.  An
-    interval reaching infinity is capped at ``1e4`` times the largest
-    spectral radius of ``models`` (at least 1), computed only then."""
+    interval ``[lo, inf)`` is capped at ``1e4`` times the largest spectral
+    radius of ``models`` (at least 1), read from the diagonals of their
+    Schur factors, or at ``1e4 lo`` when that cap does not lie above
+    ``lo``."""
     grids = []
     for lo, hi in band:
         if math.isinf(hi):
-            hi = 1e4 * max([1.0] + [
-                float(np.abs(np.linalg.eigvals(model.A)).max())
-                for model in models if model.nstates])
+            hi = 1e4 * max(np.abs(np.diag(model.schur_factor.T)).max(
+                initial=1.0) for model in models)
+            hi = hi if hi > lo else 1e4 * lo
         if lo > 0.0:
             grids.append(np.geomspace(lo, hi, points))
         else:
@@ -437,9 +426,9 @@ def hinf_w_relative(g, ghat, band, grid_density=2000):
     from zero otherwise), refines around the grid maximizer by golden
     section, and divides by the same quantity for ``G`` alone.  Intervals
     reaching infinity are capped at a multiple of the models' spectral
-    radii.  Each model's response is evaluated once per interval on the
-    whole grid from its cached Schur factor; ``G``'s serves both the error
-    and the denominator.
+    radii, or of their start when that is larger.  Each model's response
+    is evaluated once per interval on the whole grid from its cached Schur
+    factor; ``G``'s serves both the error and the denominator.
     """
     band = as_band(band)
     if len(band) == 0 or band.measure == 0.0:

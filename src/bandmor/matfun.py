@@ -12,7 +12,8 @@ right-hand sides into frequency-limited ones (logarithms of
 ``-T - i omega I``, which is already triangular), and the frequency
 response.  The public functions take arrays: each factors its operands
 and calls the triangular kernel.  A state-space model caches the factor
-of its dynamics, so the model is factored once for all of these.
+of its dynamics, so the model is factored once for all of these.  The
+stability test and every spectral radius read the spectrum off ``T``.
 
 All routines work on dense numpy arrays and are pure functions of their
 inputs; nothing here keeps state between calls.
@@ -84,14 +85,13 @@ def hurwitz_status(A):
     A matrix counts as Hurwitz when the largest real part of its spectrum
     is below ``-1e-12 * (1 + spectral_radius)``; the relative margin keeps
     marginally stable matrices away from the branch cut of the logarithms
-    evaluated on ``-A - i*omega*I``.
+    evaluated on ``-A - i*omega*I``; an empty matrix is Hurwitz.  The
+    package passes a Schur factor's triangular ``T``, whose eigenvalues
+    LAPACK takes off the diagonal (balancing isolates each), in O(n^2).
     """
-    A = _square(A, "A")
-    if A.shape[0] == 0:
-        return True, -np.inf
-    eigs = np.linalg.eigvals(A)
-    max_re = float(eigs.real.max())
-    rho = float(np.abs(eigs).max())
+    eigs = np.linalg.eigvals(_square(A, "A"))
+    max_re = float(eigs.real.max(initial=-np.inf))
+    rho = float(np.abs(eigs).max(initial=0.0))
     return max_re < -_HURWITZ_RTOL * (1.0 + rho), max_re
 
 
@@ -202,8 +202,8 @@ def solve_sylvester(A, B, C):
 def solve_lyapunov(A, W):
     """Solve the continuous Lyapunov equation ``A P + P A.T + W = 0``.
 
-    ``A`` must be Hurwitz.  For symmetric ``W`` the result is symmetric up
-    to roundoff.
+    ``A`` must be Hurwitz (tested on its Schur factor).  For symmetric
+    ``W`` the result is symmetric up to roundoff.
 
     Notes
     -----
@@ -218,8 +218,9 @@ def solve_lyapunov(A, W):
     W = _square(W, "W")
     if W.shape != A.shape:
         raise DimensionMismatch(f"W must have shape {A.shape}, got {W.shape}")
-    _require_hurwitz(hurwitz_status(A))
-    return _lyapunov_schur(complex_schur(A), W)
+    f = complex_schur(A)
+    _require_hurwitz(hurwitz_status(f.T))
+    return _lyapunov_schur(f, W)
 
 
 def _log_core(T):
@@ -321,11 +322,22 @@ def s_band(A, band):
     ``band`` is iterated as ``(lo, hi)`` pairs in rad/s; each interval
     contributes the difference of its endpoint matrices, an endpoint at 0
     contributes the zero matrix and an endpoint at infinity contributes
-    ``I/2``.
+    ``I/2``.  ``A`` is factored once, and its stability is read there.
     """
-    A = np.asarray(A, dtype=float)
-    _require_hurwitz(hurwitz_status(A))
-    return _s_band_schur(complex_schur(A), band)
+    f = complex_schur(np.asarray(A, dtype=float))
+    _require_hurwitz(hurwitz_status(f.T))
+    return _s_band_schur(f, band)
+
+
+def _finite_endpoints(band):
+    """Signed finite nonzero endpoints of ``band``, upper before lower per
+    interval; an endpoint at 0 (zero matrix) or at inf (constant ``I/2``)
+    has no logarithm and no derivative."""
+    for lo, hi in band:
+        if math.isfinite(hi) and hi > 0:
+            yield 1.0, hi
+        if lo > 0:
+            yield -1.0, lo
 
 
 def _s_band_schur(f, band):
@@ -334,19 +346,12 @@ def _s_band_schur(f, band):
     I`` is already triangular, so each finite endpoint costs one
     triangular logarithm and the signed sum is transformed back once."""
     T, U = f.T, f.U
-    n = T.shape[0]
-    eye = np.eye(n)
-    S = np.zeros((n, n))
-    L = None
-    for lo, hi in band:
-        for sign, omega in ((1.0, hi), (-1.0, lo)):
-            if math.isinf(omega):
-                S += sign * 0.5 * eye
-            elif omega > 0:
-                term = sign * _log_core(-T - 1j * float(omega) * eye)
-                L = term if L is None else L + term
-    if L is not None:
-        S += (1j / np.pi * (U @ L @ U.conj().T)).real
+    eye = np.eye(T.shape[0])
+    S = 0.5 * sum(math.isinf(hi) for _, hi in band) * eye
+    logs = [sign * _log_core(-T - 1j * float(omega) * eye)
+            for sign, omega in _finite_endpoints(band)]
+    if logs:
+        S += (1j / np.pi * (U @ sum(logs[1:], logs[0]) @ U.conj().T)).real
     return S
 
 

@@ -103,10 +103,11 @@ class StateSpaceModel:
 
     def is_hurwitz(self):
         """Return ``(stable, max_real_eig)`` from :func:`hurwitz_status`,
-        tested once per model; ``(True, -inf)`` for a pure gain."""
+        tested once per model on the diagonal of :attr:`schur_factor`;
+        ``(True, -inf)`` for a pure gain."""
         return self._hurwitz
 
-    _hurwitz = cached_property(lambda self: hurwitz_status(self.A))
+    _hurwitz = cached_property(lambda self: hurwitz_status(self.schur_factor.T))
 
     @cached_property
     def schur_factor(self):

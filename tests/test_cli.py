@@ -92,6 +92,18 @@ class TestReduce:
         rows = read_csv(out / "metrics.csv")
         assert len(rows) == 1 and rows[0]["method"] == "hankel"
 
+    def test_unbounded_band_decomposes_no_matrix(self, tmp_path,
+                                                 general_eigs):
+        # stability tests and the response grid's cap read the cached
+        # Schur factors' diagonals
+        code = main([
+            "reduce", "--model", str(MODEL), "--order", "2",
+            "--band", "0:inf", "--methods", "hankel,gawronski,modgawronski",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert general_eigs == []
+
     def test_malformed_band_exits_one(self, tmp_path, capsys):
         code = main([
             "reduce", "--model", str(MODEL), "--order", "2",

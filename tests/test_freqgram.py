@@ -30,6 +30,7 @@ from _oracles import (
     peak_gain_dense,
     rand_model,
     solve_response,
+    two_mode_model,
 )
 
 FULL = FrequencyBand([(0.0, np.inf)])
@@ -80,6 +81,7 @@ class TestH2wNorm:
     def test_pure_gain(self):
         m = StateSpaceModel.pure_gain([[1.0]])
         assert h2w_norm_sq(m, [(0.0, np.pi)]) == pytest.approx(1.0, abs=1e-13)
+        assert h2w_norm_sq(StateSpaceModel.pure_gain([[0.0]]), FULL) == 0.0
 
     def test_full_band_equals_standard_h2(self):
         rng = np.random.default_rng(23)
@@ -305,21 +307,14 @@ class TestHinfRelative:
             assert calls.count((gh, 0)) == 82 * intervals
             assert len(calls) == 248 * intervals
 
-    def test_band_grid_scans_spectra_only_for_unbounded(self, monkeypatch):
+    def test_band_grid_reads_spectra_from_schur_factors(self, general_eigs):
+        # the cap takes each model's spectral radius off the diagonal of
+        # its cached Schur factor, so neither band kind decomposes an A
         B, C, D = [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]]
         slow = StateSpaceModel(np.diag([-0.2, -0.5]), B, C, D)
         fast = StateSpaceModel([[-2.0, 30.0], [-30.0, -2.0]], B, C, D)
-        scans = []
-        eigvals = np.linalg.eigvals
-
-        def counted(A):
-            scans.append(A)
-            return eigvals(A)
-
-        monkeypatch.setattr(np.linalg, "eigvals", counted)
         bounded = FrequencyBand([(0.0, 1.7), (3.0, 4.0)])
         grids = freqgram._band_grid(bounded, 50, (slow, fast))
-        assert scans == []
         assert [(w[0], w[-1]) for w in grids] == [(0.0, 1.7), (3.0, 4.0)]
         # capped at 1e4 max(1, rho): the radius of +-30i - 2, or 1
         unbounded = FrequencyBand([(0.0, 1.0), (2.0, np.inf)])
@@ -329,7 +324,30 @@ class TestHinfRelative:
             assert grids[0][-1] == 1.0
             assert grids[1][0] == 2.0
             assert grids[1][-1] == pytest.approx(cap, rel=1e-12)
-        assert len(scans) == 3
+        assert general_eigs == []
+
+    def test_band_above_cap(self):
+        # [5e4, inf) starts above 1e4 max(1, rho) = 3e4 of the shipped
+        # model: the grid has to stay inside the band.  Past the last
+        # resonance both responses only fall, so any finite upper end
+        # serves the oracle
+        g = two_mode_model()
+        gh = StateSpaceModel(g.A[:2, :2], g.B[:2], g.C[:, :2], g.D)
+        lo = 5e4
+        band = FrequencyBand([(lo, np.inf)])
+        (grid,) = freqgram._band_grid(band, 50, (g, gh))
+        assert grid.min() == lo and grid.max() > lo
+
+        def num(w):
+            H = solve_response(g, w) - solve_response(gh, w)
+            return np.linalg.svd(H, compute_uv=False)[:, 0]
+
+        def den(w):
+            return np.linalg.svd(solve_response(g, w), compute_uv=False)[:, 0]
+
+        want = (peak_gain_dense(num, lo, 1e2 * lo)
+                / peak_gain_dense(den, lo, 1e2 * lo))
+        assert hinf_w_relative(g, gh, band) == pytest.approx(want, rel=1e-6)
 
     def test_two_interval_peak_with_feedthrough(self):
         # against a dense search on LU responses of both models.  G has a

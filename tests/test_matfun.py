@@ -14,6 +14,7 @@ from bandmor import (
     solve_lyapunov,
     solve_sylvester,
 )
+from bandmor import matfun
 from bandmor.exceptions import BranchCut, NotHurwitz, SpectrumClash
 from bandmor.matfun import _lyapunov_schur, _sylvester_schur, complex_schur
 
@@ -363,10 +364,39 @@ class TestSBand:
         assert got == pytest.approx(want, abs=1e-13)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda A: s_band(A, [(0.5, 2.0), (3.0, np.inf)]),
+    lambda A: solve_lyapunov(A, np.eye(A.shape[0])),
+], ids=["s_band", "solve_lyapunov"])
+def test_array_kernel_tests_stability_on_its_factor(kernel, monkeypatch,
+                                                    general_eigs):
+    # the one Schur factor a kernel solves with also gives its stability
+    # test, so an array is factored once and never decomposed
+    factored = []
+    schur = matfun.schur
+
+    def counted(a, *args, **kwargs):
+        factored.append(a.shape)
+        return schur(a, *args, **kwargs)
+
+    monkeypatch.setattr(matfun, "schur", counted)
+    A = rand_hurwitz(np.random.default_rng(20), 6)
+    general_eigs.clear()  # rand_hurwitz shifts A by its own spectrum
+    kernel(A)
+    assert factored == [(6, 6)]
+    with pytest.raises(NotHurwitz):
+        kernel(-A)
+    assert factored == [(6, 6)] * 2
+    assert general_eigs == []
+
+
 class TestHurwitzStatus:
     def test_stable_diag(self):
         ok, max_re = hurwitz_status(np.diag([-1.0, -2.0]))
         assert ok and max_re == pytest.approx(-1.0)
+
+    def test_empty_matrix(self):
+        assert hurwitz_status(np.zeros((0, 0))) == (True, -np.inf)
 
     def test_marginal_rotation(self):
         ok, max_re = hurwitz_status([[0.0, 1.0], [-1.0, 0.0]])

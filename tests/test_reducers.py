@@ -260,6 +260,13 @@ class TestOptimize:
         with pytest.raises(UnstableInit):
             h2w_optimize(g, 2, BAND17, init=bad)
 
+    def test_init_dimensions_must_match_model(self):
+        g = rand_model(np.random.default_rng(62), 4, 2, 1)
+        init = balanced_truncation(rand_model(np.random.default_rng(63), 4,
+                                              1, 1), 2)
+        with pytest.raises(ValueError, match="input/output dimensions"):
+            h2w_optimize(g, 2, BAND17, init=init)
+
     def test_unbounded_band_pins_feedthrough(self):
         rng = np.random.default_rng(59)
         g = rand_model(rng, 4, 1, 1)
@@ -414,13 +421,14 @@ class TestOneBandSidePerModel:
 
 def test_one_hurwitz_test_per_model(monkeypatch):
     # the optimizer's trial check, the band sides and evaluate read one
-    # cached test per model, so no matrix is tested twice
+    # cached test per model, on the triangular T of its Schur factor, so
+    # no model is tested twice
     tested = []
     status = matfun.hurwitz_status
 
-    def counted(A):
-        tested.append(A)  # keeps A alive, so ids stay distinct
-        return status(A)
+    def counted(T):
+        tested.append(T)  # keeps T alive, so ids stay distinct
+        return status(T)
 
     for module in (matfun, ssmodel, freqgram, reducers):
         monkeypatch.setattr(module, "hurwitz_status", counted)
@@ -433,4 +441,4 @@ def test_one_hurwitz_test_per_model(monkeypatch):
     assert len(ids) == len(set(ids))
     # G, the init and at least one trial per iteration
     assert len(ids) >= 2 + 3
-    assert id(g.A) in ids and id(ghat.A) in ids
+    assert id(g.schur_factor.T) in ids and id(ghat.schur_factor.T) in ids

@@ -18,6 +18,7 @@ from bandmor.exceptions import (
     ParseError,
     SingularAtFrequency,
 )
+from bandmor.matfun import hurwitz_status
 
 from conftest import REPO_ROOT
 from _oracles import (rand_model, rand_resonant_model, solve_response,
@@ -59,6 +60,25 @@ class TestValidation:
         # a pure gain has no poles: stable, as for hurwitz_status
         assert StateSpaceModel.pure_gain([[1.0]]).is_hurwitz() == (
             True, -np.inf)
+
+    def test_is_hurwitz_reads_schur_diagonal(self):
+        # the test reads the eigenvalues off the cached factor's diagonal
+        # and decides as hurwitz_status on A does, on either side of its
+        # margin -1e-12 (1 + rho) and just inside it
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(1, 13))
+            A = rng.standard_normal((n, n))
+            A -= np.linalg.eigvals(A).real.max() * np.eye(n)
+            eigs = np.linalg.eigvals(A)
+            margin = 1e-12 * (1.0 + np.abs(eigs).max())
+            for side in (-10.0, -0.5, 10.0):
+                shift = eigs.real.max() - side * margin
+                m = StateSpaceModel(A - shift * np.eye(n), np.ones((n, 1)),
+                                    np.ones((1, n)), [[0.0]])
+                stable, max_re = m.is_hurwitz()
+                assert max_re == np.diag(m.schur_factor.T).real.max()
+                assert stable == (side < -1) == hurwitz_status(m.A)[0]
 
 
 class TestSeries:

@@ -48,6 +48,47 @@ def test_tracer_only_imports_are_traced(spans):
                     assert (module, name) in traced, (path.name, name)
 
 
+_GENERAL_EIG = {f"{module}.{name}" for module in ("numpy.linalg", "scipy.linalg")
+                for name in ("eig", "eigvals")}
+
+
+def _qualified(node, aliases):
+    """Dotted name of a called expression with its head resolved through
+    the module's imports; None unless it is a chain of names."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([aliases.get(node.id, node.id), *reversed(parts)])
+
+
+def test_spectra_come_from_schur_factors():
+    # a model's eigenvalues are the diagonal of its cached Schur factor:
+    # the stability rule alone asks LAPACK for eigenvalues, of the
+    # triangular T its callers pass.  The symmetric eigh that factors
+    # Gramians reads no spectrum of A and is not counted
+    found = []
+    for path in sorted((REPO_ROOT / "src" / "bandmor").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases, owner = {}, {}
+        # ast.walk visits outer nodes first, so inner functions own lines
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                prefix = (f"{node.module}." if isinstance(node, ast.ImportFrom)
+                          else "")
+                for alias in node.names:
+                    aliases[alias.asname or alias.name] = prefix + alias.name
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for line in range(node.lineno, node.end_lineno + 1):
+                    owner[line] = node.name
+        found += [f"{path.stem}.{owner.get(node.lineno, '<module>')}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and _qualified(node.func, aliases) in _GENERAL_EIG]
+    assert found == ["matfun.hurwitz_status"]
+
+
 def _traced(spans, function, *args, **kwargs):
     tracer = spans.Tracer()
     with tracer.installed():
