@@ -182,13 +182,21 @@ def h2w_norm_sq(model, band):
 @dataclass(frozen=True, eq=False)
 class _Workspace:
     """The solves one iterate shares between cost and gradient: the band
-    sides of G and Ghat and the cross Sylvester solutions ``x``, ``y``.
-    The gradient's own solves follow on first use."""
+    sides of G and Ghat and the cross Sylvester solution ``y``.  The cross
+    solution ``x`` and the gradient's own solves follow on first use."""
 
     g: _BandSide
     gh: _BandSide
-    x: np.ndarray
     y: np.ndarray
+
+    @cached_property
+    def x(self):
+        """``X`` of ``A X + X Ah.T + F = 0``, read by the gradient and by
+        the form-"C" cost only."""
+        B, Bh = self.g.model.B, self.gh.model.B
+        F = self.g.s @ B @ Bh.T + (B @ Bh.T) @ self.gh.s.T
+        return _sylvester_schur(self.g.model.schur_factor,
+                                self.gh.model.schur_factor, F, tranb="C")
 
     @cached_property
     def gradient_solves(self):
@@ -230,23 +238,20 @@ def _check_pair(g, ghat, band):
 
 def _build_workspace(gside, ghat, need_gradient=False):
     """Workspace of ``ghat`` against the full model's side ``gside``.  With
-    ``need_gradient`` the gradient's own solves are done now rather than
-    on first use."""
+    ``need_gradient`` ``x`` and the gradient's own solves are done now
+    rather than on first use."""
     band = gside.band
     _check_pair(gside.model, ghat, band)
     ghside = _BandSide(ghat, band)
-    B, C = gside.model.B, gside.model.C
-    Bh, Ch = ghat.B, ghat.C
+    C, Ch = gside.model.C, ghat.C
     S, Sh = gside.s, ghside.s
-    # A X + X Ah.T + F = 0 and A.T Y + Y Ah + F = 0 from the factors of A
-    # and Ah: the transposes are ztrsyl flags
-    fa, fh = gside.model.schur_factor, ghat.schur_factor
-    X = _sylvester_schur(fa, fh, S @ B @ Bh.T + (B @ Bh.T) @ Sh.T, tranb="C")
-    Y = _sylvester_schur(fa, fh, -((C @ S).T @ Ch + C.T @ (Ch @ Sh)),
-                         trana="C")
-    ws = _Workspace(gside, ghside, X, Y)
+    # A.T Y + Y Ah + F = 0 from the factors of A and Ah: the transpose is
+    # a flag of the triangular solve, as is Ah.T in the lazy X
+    Y = _sylvester_schur(gside.model.schur_factor, ghat.schur_factor,
+                         -((C @ S).T @ Ch + C.T @ (Ch @ Sh)), trana="C")
+    ws = _Workspace(gside, ghside, Y)
     if need_gradient:
-        ws.gradient_solves
+        ws.x, ws.gradient_solves
     return ws
 
 

@@ -1,13 +1,15 @@
 """Dense matrix-equation and matrix-function kernels.
 
 Every kernel works on a complex Schur factor ``A = U T U^H``
-(:class:`SchurFactor`): Sylvester and Lyapunov solvers (Bartels-Stewart,
-LAPACK ``ztrsyl`` on the triangular factors, whose ``trana``/``tranb``
-flags let one factor of ``A`` also serve ``A^H``, which is ``A.T`` for
-real ``A``), the principal matrix logarithm (inverse scaling and squaring
-on the triangular factor, with ``scipy.linalg.sqrtm`` square roots and a
-Pade step) and its Frechet derivative (the logarithm of a 2x2 block
-matrix), the band-limiting matrices that turn standard Lyapunov
+(:class:`SchurFactor`): Sylvester and Lyapunov solvers (Bartels-Stewart
+on the triangular factors, whose ``trana``/``tranb`` flags let one factor
+of ``A`` also serve ``A^H``, which is ``A.T`` for real ``A``; the
+triangular equation is solved by a column sweep of LAPACK ``ztrtrs``
+solves when ``A``'s order is at or above a crossover, and by LAPACK
+``ztrsyl`` below it), the principal matrix logarithm (inverse scaling and
+squaring on the triangular factor, with ``scipy.linalg.sqrtm`` square
+roots and a Pade step) and its Frechet derivative (the logarithm of a 2x2
+block matrix), the band-limiting matrices that turn standard Lyapunov
 right-hand sides into frequency-limited ones (logarithms of
 ``-T - i omega I``, which is already triangular), and the frequency
 response.  The public functions take arrays: each factors its operands
@@ -23,7 +25,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import schur, solve_triangular, sqrtm
+from scipy.linalg import schur, sqrtm
 from scipy.linalg.lapack import ztrsyl, ztrtrs
 from scipy.special import roots_legendre
 
@@ -65,6 +67,13 @@ _HURWITZ_RTOL = 1e-12
 # Frequencies per block of the vectorized response substitution; bounds its
 # (n, block, m) work array, and with it the peak memory of a long grid.
 _RESPONSE_BLOCK = 256
+
+# Order of A from which a triangular Sylvester equation is solved by the
+# column sweep of _tri_sylvester instead of LAPACK ztrsyl.  ztrsyl is
+# unblocked; the sweep pays about 7 us of Python per column of the
+# solution, which it wins back from n = 40-56 on (BLAS at 1 thread, n x 10
+# and n x n), and by 3-5x at n = 150.
+_SWEEP_MIN_ORDER = 48
 
 # A Schur diagonal entry within this many ulps of ``1 + |t_kk|`` from
 # ``i omega`` is a pole on the axis: the computed diagonal of an exactly
@@ -126,9 +135,11 @@ def _sylvester_schur(fa, fb, C, trana="N", tranb="N"):
     ``A`` and ``fb`` of ``B``; ``op(M)`` is ``M`` (``"N"``) or ``M^H``
     (``"C"``), which is ``M.T`` for real ``M``.  With ``op(A) = U op(TA)
     U^H`` and ``op(B) = V op(TB) V^H`` the solution is ``U Y V^H`` for the
-    triangular solution ``Y`` from LAPACK ``ztrsyl``, which solves for
-    ``scale * Y`` with ``scale <= 1`` chosen to avoid overflow.  Real
-    whenever ``A``, ``B`` and ``C`` are."""
+    solution ``Y`` of the triangular equation: from the column sweep of
+    :func:`_tri_sylvester` when ``A``'s order is at least
+    ``_SWEEP_MIN_ORDER``, and from LAPACK ``ztrsyl`` below it, which
+    solves for ``scale * Y`` with ``scale <= 1`` chosen to avoid overflow.
+    Real whenever ``A``, ``B`` and ``C`` are."""
     C = np.atleast_2d(np.asarray(C))
     n, m = fa.T.shape[0], fb.T.shape[0]
     if C.shape != (n, m):
@@ -147,13 +158,47 @@ def _sylvester_schur(fa, fb, C, trana="N", tranb="N"):
             f"{-mu[j]:.6g} of -B"
         )
 
-    Y, scale, info = ztrsyl(fa.T, fb.T, -(fa.U.conj().T @ C @ fb.U),
-                            trana=trana, tranb=tranb)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"ztrsyl: argument {-info} is invalid")
-    X = fa.U @ (Y / scale) @ fb.U.conj().T
+    Ct = -(fa.U.conj().T @ C @ fb.U)
+    if n >= _SWEEP_MIN_ORDER:
+        Y = _tri_sylvester(fa.T, fb.T, Ct, trana, tranb)
+    else:
+        Y, scale, info = ztrsyl(fa.T, fb.T, Ct, trana=trana, tranb=tranb)
+        if info < 0:
+            raise np.linalg.LinAlgError(f"ztrsyl: argument {-info} is invalid")
+        Y = Y / scale
+    X = fa.U @ Y @ fb.U.conj().T
     real_data = fa.real and fb.real and not np.iscomplexobj(C)
     return X.real if real_data else X
+
+
+def _tri_sylvester(TA, TB, C, trana, tranb):
+    """Solve ``op(TA) Y + Y op(TB) = C`` for upper-triangular ``TA`` and
+    ``TB`` one column of ``Y`` at a time.  Column ``j`` solves ``(op(TA) +
+    mu_j I) y_j = c_j - Y_done op(TB)[done, j]``, where ``mu_j`` is
+    ``op(TB)``'s diagonal entry and ``done`` the columns already solved:
+    those before ``j`` when ``op(TB)`` is upper triangular (``"N"``), those
+    after it when it is lower (``"C"``).  Each column is one LAPACK
+    ``ztrtrs`` on one copy of ``TA`` whose diagonal alone is shifted;
+    ``op(TA) = TA^H`` takes the conjugate shift and ``ztrtrs``'s
+    conjugate-transpose solve.  The caller has ruled out a singular shift
+    (:class:`SpectrumClash`)."""
+    n, m = C.shape
+    M = TA.copy(order="F")
+    diag = np.einsum("ii->i", M)  # a writeable view of M's diagonal
+    t = diag.copy()
+    opb = TB if tranb == "N" else TB.conj().T
+    shift = np.diag(opb) if trana == "N" else np.diag(opb).conj()
+    trans = 0 if trana == "N" else 2
+    forward = tranb == "N"
+    Y = np.empty((n, m), dtype=complex, order="F")
+    for j in range(m) if forward else range(m - 1, -1, -1):
+        done = slice(0, j) if forward else slice(j + 1, m)
+        rhs = C[:, j:j + 1] - Y[:, done] @ opb[done, j:j + 1]
+        np.add(t, shift[j], out=diag)
+        Y[:, j:j + 1], info = ztrtrs(M, rhs, trans=trans)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"ztrtrs: info = {info}")
+    return Y
 
 
 def _lyapunov_schur(f, W, trans="N"):
@@ -188,12 +233,13 @@ def solve_sylvester(A, B, C):
 
     Notes
     -----
-    Both operands are reduced to complex Schur form and the triangular
-    system is solved by LAPACK ``ztrsyl`` (Bartels-Stewart).  Callers that
-    hold a factor already, such as a model's cached
-    :attr:`~bandmor.StateSpaceModel.schur_factor`, call the same
-    triangular kernel on it directly; ``ztrsyl``'s transpose flags let one
-    factor of ``A`` serve ``A.T`` as well.
+    Both operands are reduced to complex Schur form (Bartels-Stewart) and
+    the triangular system is solved by a column sweep of LAPACK ``ztrtrs``
+    solves above a crossover order of ``A`` and by LAPACK ``ztrsyl``
+    below it.  Callers that hold a factor already, such as a model's
+    cached :attr:`~bandmor.StateSpaceModel.schur_factor`, call the same
+    triangular kernel on it directly; its transpose flags let one factor
+    of ``A`` serve ``A.T`` as well.
     """
     B = _square(B, "B")
     return _sylvester_schur(complex_schur(A), complex_schur(B), C)
@@ -211,8 +257,10 @@ def solve_lyapunov(A, W):
     is ``conj(U) conj(T)^H conj(U)^H``, so the transformed equation is
     ``T P' + P' conj(T)^H + W' = 0`` and real and complex ``A`` go
     through the same triangular solve.  The dual ``A.T Q + Q A + W = 0``
-    takes the same factor with ``ztrsyl``'s transpose flags swapped, so a
-    model's cached factor serves both of its Gramians.
+    takes the same factor with the triangular solve's transpose flags
+    swapped (a column sweep of ``ztrtrs`` above a crossover order, LAPACK
+    ``ztrsyl`` below it), so a model's cached factor serves both of its
+    Gramians.
     """
     A = _square(A, "A")
     W = _square(W, "W")
@@ -254,10 +302,12 @@ def _log_core(T):
     X = T - eye
     L = np.zeros((n, n), dtype=complex)
     for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-        try:
-            L += w * solve_triangular(eye + t * X, X, lower=False)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - scaled out
-            raise SingularResolvent(str(exc)) from exc
+        # (I + t X) Z = X as the transposed solve with the lower-triangular
+        # transpose, which LAPACK reads in place of the C-ordered matrix
+        Z, info = ztrtrs((eye + t * X).T, X, lower=1, trans=1)
+        if info != 0:  # pragma: no cover - scaled out
+            raise SingularResolvent(f"ztrtrs: info = {info}")
+        L += w * Z
     return 2.0 ** k * L
 
 

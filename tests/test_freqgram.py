@@ -191,6 +191,36 @@ class TestErrorCost:
         assert abs(got - ref) <= 1e-9 * (1.0 + abs(ref))
 
 
+class TestWorkspace:
+    """A workspace solves its cross solution ``x`` on first read, so a
+    line-search trial whose form-"B" cost is all it is asked for never
+    solves it."""
+
+    BAND = FrequencyBand([(0.2, 1.1), (2.0, 3.5)])
+
+    def models(self):
+        rng = np.random.default_rng(63)
+        return (rand_model(rng, 5, 2, 2, with_d=True),
+                rand_model(rng, 3, 2, 2, with_d=True))
+
+    def test_trial_solves_x_on_first_read(self):
+        g, gh = self.models()
+        ws = freqgram._build_workspace(freqgram._BandSide(g, self.BAND), gh)
+        fb = freqgram._cost_from_workspace(ws, False, "B")
+        assert "x" not in vars(ws)
+        fc = freqgram._cost_from_workspace(ws, False, "C")
+        assert "x" in vars(ws)
+        assert fb == pytest.approx(fc, abs=1e-9 * (1 + abs(fb)))
+        assert fb == error_cost(g, gh, self.BAND)
+        assert fc == error_cost(g, gh, self.BAND, form="C")
+
+    def test_gradient_workspace_solves_x_at_once(self):
+        g, gh = self.models()
+        ws = freqgram._build_workspace(freqgram._BandSide(g, self.BAND), gh,
+                                       need_gradient=True)
+        assert {"x", "gradient_solves"} <= set(vars(ws))
+
+
 class TestErrorGradient:
     def test_zero_at_global_minimum(self):
         rng = np.random.default_rng(34)

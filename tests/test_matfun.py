@@ -4,6 +4,7 @@ band-limiting matrices."""
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.linalg import solve_sylvester as solve_sylvester_scipy
 
 from bandmor import (
     frechet_log,
@@ -131,8 +132,46 @@ class TestSolveLyapunov:
             solve_lyapunov([[1.0]], [[1.0]])
 
 
+# (trana, tranb): every pair of transpose flags of the triangular solve
+FLAGS = [("N", "N"), ("N", "C"), ("C", "N"), ("C", "C")]
+
+
+@pytest.fixture
+def triangular_paths(monkeypatch):
+    """Names of the triangular Sylvester kernels called, in call order:
+    ``"sweep"`` for the column sweep, ``"ztrsyl"`` for LAPACK's."""
+    paths = []
+
+    def recorded(name, fun):
+        def call(*args, **kwargs):
+            paths.append(name)
+            return fun(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(matfun, "_tri_sylvester",
+                        recorded("sweep", matfun._tri_sylvester))
+    monkeypatch.setattr(matfun, "ztrsyl", recorded("ztrsyl", matfun.ztrsyl))
+    return paths
+
+
+def scipy_sylvester(A, B, F):
+    """``A X + X B + F = 0`` by ``scipy.linalg.solve_sylvester``; the
+    operands go in complex, since with real ``A`` and ``B`` it returns a
+    wrong solution for complex ``F``."""
+    return solve_sylvester_scipy(A.astype(complex), B.astype(complex),
+                                 -F.astype(complex))
+
+
 class TestTransposedOperands:
-    """``A.T`` taken from ``A``'s one Schur factor through ztrsyl's flags."""
+    """``A.T`` taken from ``A``'s one Schur factor through the transpose
+    flags of the triangular solve: LAPACK ``ztrsyl`` below the crossover
+    order of ``A``, the column sweep of ``ztrtrs`` solves at and above it.
+    Each test runs once on each side."""
+
+    # (order of A, the path that solves it) for the n x r solves and the
+    # n x n Lyapunov solves
+    SIZES = [(30, "ztrsyl"), (150, "sweep")]
+    LYAPUNOV_SIZES = [(30, "ztrsyl"), (80, "sweep")]
 
     @staticmethod
     def resonant(seed, n):
@@ -144,41 +183,90 @@ class TestTransposedOperands:
         err = np.linalg.norm(X - ref, "fro") / np.linalg.norm(ref, "fro")
         assert err <= rtol
 
-    def test_sylvester_from_one_factor(self):
-        rng = np.random.default_rng(24)
-        A = self.resonant(23, 30)
-        Ah = rand_hurwitz(rng, 4)
-        F = rng.standard_normal((30, 4))
-        fa, fh = complex_schur(A), complex_schur(Ah)
-        # A.T Y + Y Ah + F = 0 and A X + X Ah.T + F = 0
-        Y = _sylvester_schur(fa, fh, F, trana="C")
-        X = _sylvester_schur(fa, fh, F, tranb="C")
-        assert Y.dtype == X.dtype == np.float64
-        self.assert_close(Y, kron_sylvester(A.T, Ah, F), 1e-8)
-        self.assert_close(X, kron_sylvester(A, Ah.T, F), 1e-8)
+    @staticmethod
+    def real_and_complex(rng, shape):
+        F = rng.standard_normal(shape)
+        return F, F + 1j * rng.standard_normal(shape)
 
-    def test_lyapunov_from_one_factor(self):
+    def test_sylvester_from_one_factor(self, triangular_paths):
+        rng = np.random.default_rng(24)
+        Ah = rand_hurwitz(rng, 4)
+        fh = complex_schur(Ah)
+        for n, path in self.SIZES:
+            A = self.resonant(23, n)
+            fa = complex_schur(A)
+            for F in self.real_and_complex(rng, (n, 4)):
+                for trana, tranb in FLAGS:
+                    # op(A) X + X op(Ah) + F = 0, op(M) = M.T for "C" on
+                    # real M
+                    opA = A.T if trana == "C" else A
+                    opAh = Ah.T if tranb == "C" else Ah
+                    triangular_paths.clear()
+                    X = _sylvester_schur(fa, fh, F, trana=trana, tranb=tranb)
+                    assert triangular_paths == [path]
+                    assert X.dtype == F.dtype
+                    num, bound = sylvester_residual(opA, opAh, F, X)
+                    assert num <= bound
+                    self.assert_close(X, scipy_sylvester(opA, opAh, F), 1e-9)
+
+    def test_lyapunov_from_one_factor(self, triangular_paths):
         rng = np.random.default_rng(25)
-        A = self.resonant(23, 30)
-        W = rng.standard_normal((30, 30))
-        W = W + W.T
-        f = complex_schur(A)
-        # A.T Q + Q A + W = 0 and A P + P A.T + W = 0
-        Q = _lyapunov_schur(f, W, "C")
-        P = _lyapunov_schur(f, W)
-        self.assert_close(Q, kron_sylvester(A.T, A, W), 1e-8)
-        self.assert_close(P, kron_sylvester(A, A.T, W), 1e-8)
-        np.testing.assert_array_equal(P, solve_lyapunov(A, W))
+        for n, path in self.LYAPUNOV_SIZES:
+            A = self.resonant(23, n)
+            f = complex_schur(A)
+            for W in self.real_and_complex(rng, (n, n)):
+                W = W + W.T
+                # A.T Q + Q A + W = 0 and A P + P A.T + W = 0
+                triangular_paths.clear()
+                Q = _lyapunov_schur(f, W, "C")
+                P = _lyapunov_schur(f, W)
+                assert triangular_paths == [path, path]
+                for opA, S in ((A.T, Q), (A, P)):
+                    num, bound = sylvester_residual(opA, opA.T, W, S)
+                    assert num <= bound
+                    self.assert_close(S, scipy_sylvester(opA, opA.T, W), 1e-9)
+                np.testing.assert_array_equal(P, solve_lyapunov(A, W))
 
     def test_spectrum_clash_on_transposed_operand(self):
-        # A.T has eigenvalues 0.5 +- 2i, -Ah has 0.5 -+ 2i
+        # A.T has eigenvalues 0.5 +- 2i among stable ones, -Ah has
+        # 0.5 -+ 2i; an orthogonal change of basis keeps them to roundoff
         rng = np.random.default_rng(26)
-        K = rng.standard_normal((2, 2)) + 2.0 * np.eye(2)
-        A = np.linalg.solve(K, np.array([[0.5, 2.0], [-2.0, 0.5]]) @ K)
-        Ah = -np.array([[0.5, 2.0], [-2.0, 0.5]])
-        with pytest.raises(SpectrumClash):
-            _sylvester_schur(complex_schur(A), complex_schur(Ah),
-                             np.ones((2, 2)), trana="C")
+        J = np.array([[0.5, 2.0], [-2.0, 0.5]])
+        for n, _ in self.SIZES:
+            D = np.zeros((n, n))
+            D[:2, :2] = J
+            D[2:, 2:] = rand_hurwitz(rng, n - 2)
+            K = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            A = K.T @ D @ K
+            with pytest.raises(SpectrumClash):
+                _sylvester_schur(complex_schur(A), complex_schur(-J),
+                                 np.ones((n, 2)), trana="C")
+
+    @pytest.mark.parametrize("trana,tranb", FLAGS)
+    def test_paths_agree_across_crossover(self, trana, tranb, monkeypatch,
+                                          triangular_paths):
+        # just below the crossover ztrsyl runs, at it the sweep does; each
+        # is checked against the other path forced on the same equation
+        n0 = matfun._SWEEP_MIN_ORDER
+        rng = np.random.default_rng(27)
+        for n, path, other, force in ((n0 - 1, "ztrsyl", "sweep", n0 - 1),
+                                      (n0, "sweep", "ztrsyl", n0 + 1)):
+            A = rand_hurwitz(rng, n)
+            fa = complex_schur(A)
+            fh = complex_schur(rand_hurwitz(rng, 5))
+            F = rng.standard_normal((n, 5))
+            W = rng.standard_normal((n, n))
+            W = W + W.T
+            solved = (_sylvester_schur(fa, fh, F, trana, tranb),
+                      _lyapunov_schur(fa, W, trana))
+            with monkeypatch.context() as m:
+                m.setattr(matfun, "_SWEEP_MIN_ORDER", force)
+                forced = (_sylvester_schur(fa, fh, F, trana, tranb),
+                          _lyapunov_schur(fa, W, trana))
+            assert triangular_paths == [path, path, other, other]
+            triangular_paths.clear()
+            for X, Xo in zip(solved, forced):
+                self.assert_close(X, Xo, 1e-12)
 
 
 class TestMatrixLog:
